@@ -17,12 +17,11 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.special import ellipkm1
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .gamma import cpow
 from .hyper import SeriesSpec, pfq
-from .meijer import meijer_mb, w3_g_spec
+from .meijer import elliptic_2k, meijer_mb, w3_g_spec
 from .types import EvalResult, Method
 from .quadutil import tanh_sinh_relaxed
 from .zmf import w1, w2, w3
@@ -304,20 +303,7 @@ def mahler_w3_routes(k: float) -> dict:
             w = 1.0 / math.sqrt(x3i)
 
             def inner(x2: np.ndarray) -> np.ndarray:
-                p = c64 * x2 * x3i
-                with np.errstate(divide="ignore"):
-                    kk = 2.0 * ellipkm1(p)
-                # Guard underflow of the product: 2 K(1-p) -> log(16/p),
-                # assembled per factor so sub-ulp x3 keeps its logarithm.
-                under = p == 0.0
-                if np.any(under):
-                    kk[under] = (
-                        math.log(16.0)
-                        - math.log(c64)
-                        - np.log(x2[under])
-                        - math.log(x3i)
-                    )
-                return kk / np.sqrt(x2 * (1.0 - x2))
+                return elliptic_2k(c64, x2, x3i) / np.sqrt(x2 * (1.0 - x2))
 
             v, _ = tanh_sinh_relaxed(inner, 0.0, 1.0, 1e-10)
             out[i] = w * v

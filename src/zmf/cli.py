@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .analysis import (
@@ -54,27 +53,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    """JSON encoder with explicit 17-significant-digit float formatting."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  "{key}": {_to_json(val, indent + 1).lstrip()}'
-            for key, val in obj.items()
-        )
-        return f"{pad}{{\n{items}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        items = ",\n".join(_to_json(v, indent + 1) for v in obj)
-        return f"{pad}[\n{items}\n{pad}]"
-    if isinstance(obj, bool):
-        return pad + ("true" if obj else "false")
-    if isinstance(obj, int):
-        return pad + str(obj)
-    if isinstance(obj, float):
-        return pad + _fmt(obj)
-    return pad + json.dumps(obj)
-
-
 def _eval_record(r: int, k: float, s: complex, res: EvalResult) -> dict:
     point = ZmfPoint(r, k, s)
     return {
@@ -90,7 +68,7 @@ def _eval_record(r: int, k: float, s: complex, res: EvalResult) -> dict:
 
 def _emit_record(rec: dict, output: str) -> None:
     if output == "json":
-        print(_to_json(rec))
+        print(json.dumps(rec, indent=2))
     elif output == "csv":
         print("r,k,s_re,s_im,value_re,value_im,abs_err,method,regime")
         print(
@@ -186,7 +164,7 @@ def _cmd_density(args) -> int:
         print(",".join(_fmt(rec[key]) if isinstance(rec[key], float) else str(rec[key])
                        for key in keys))
     else:
-        print(_to_json(rec))
+        print(json.dumps(rec, indent=2))
     return EXIT_OK
 
 
@@ -198,7 +176,7 @@ def _cmd_moment(args) -> int:
         "two_sided": not args.one_sided,
         "value": {"re": val.real, "im": val.imag},
     }
-    print(_to_json(rec))
+    print(json.dumps(rec, indent=2))
     return EXIT_OK
 
 
@@ -213,7 +191,8 @@ def _cmd_zeros(args) -> int:
         for z in zeros:
             print(f"{_fmt(z.k)},{_fmt(z.t)},{_fmt(z.residual)},{z.method}")
     else:
-        print(_to_json({"k": float(args.k), "count": len(recs), "zeros": recs}))
+        rec = {"k": float(args.k), "count": len(recs), "zeros": recs}
+        print(json.dumps(rec, indent=2))
     return EXIT_OK
 
 
@@ -232,7 +211,7 @@ def _cmd_mahler(args) -> int:
         "route_spread": float(spread),
         "routes": {key: float(val) for key, val in routes.items()},
     }
-    print(_to_json(rec))
+    print(json.dumps(rec, indent=2))
     return EXIT_OK
 
 
@@ -316,30 +295,11 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
-def _apply_thread_cap(threads: int | None) -> None:
-    n = threads
-    if n is None:
-        env = os.environ.get("ZMF_THREADS")
-        n = int(env) if env else None
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zmf",
         description="Evaluate W_r(k;s) and its associated quantities.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal parallelism (default: ZMF_THREADS)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_s_flags(p):
@@ -413,7 +373,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    _apply_thread_cap(args.threads)
     try:
         return args.func(args)
     except (DomainError, ValueError, OSError, KeyError) as exc:

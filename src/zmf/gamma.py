@@ -1,8 +1,8 @@
-"""Complex gamma-family kernel: log-gamma, digamma, Pochhammer symbols and
-generalized binomial coefficients.
+"""Complex gamma kernel: the principal-branch log-gamma and the principal
+complex power.
 
 Everything downstream (hypergeometric series, Mellin-Barnes integrands,
-moment formulas) funnels through these few scalar routines, so they are kept
+moment formulas) funnels through these two scalar routines, so they are kept
 dependency-free and deterministic.  log_gamma uses a fixed Lanczos scheme
 (g = 607/128, 15 coefficients) with reflection for Re z < 1/2; the accuracy
 envelope is ~1e-14 relative for |z| <= 100 away from the pole set.
@@ -11,7 +11,6 @@ envelope is ~1e-14 relative for |z| <= 100 away from the pole set.
 from __future__ import annotations
 
 import cmath
-import math
 
 from .errors import PoleError
 
@@ -39,20 +38,6 @@ _LOG_SQRT_2PI = 0.91893853320467274178
 _LOG_PI = 1.1447298858494001741
 _POLE_TOL = 1e-12
 
-# Bernoulli numbers B_2 .. B_16 over 2n, for the digamma asymptotic tail.
-_DIGAMMA_ASYMP = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
-
-EULER_GAMMA = 0.57721566490153286061
-
 
 def _near_nonpositive_integer(z: complex) -> bool:
     if abs(z.imag) > _POLE_TOL:
@@ -76,16 +61,6 @@ def _log_sin_pi(z: complex) -> complex:
     return cmath.log(cmath.sin(cmath.pi * z))
 
 
-def _cot_pi(z: complex) -> complex:
-    """cot(pi z), overflow-safe for large |Im z|."""
-    if z.imag > 1.0:
-        e = cmath.exp(2j * cmath.pi * z)
-        return 1j * (e + 1.0) / (e - 1.0)
-    if z.imag < -1.0:
-        return _cot_pi(z.conjugate()).conjugate()
-    return cmath.cos(cmath.pi * z) / cmath.sin(cmath.pi * z)
-
-
 def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma(z).
 
@@ -103,63 +78,6 @@ def log_gamma(z: complex) -> complex:
         a += _LANCZOS_C[k] / (zz + k)
     t = zz + _LANCZOS_G + 0.5
     return _LOG_SQRT_2PI + cmath.log(a) + (zz + 0.5) * cmath.log(t) - t
-
-
-def gamma(z: complex) -> complex:
-    """Gamma(z) via exp(log_gamma)."""
-    return cmath.exp(log_gamma(z))
-
-
-def digamma(z: complex) -> complex:
-    """Digamma function psi(z) for complex z off the non-positive integers."""
-    z = complex(z)
-    if _near_nonpositive_integer(z):
-        raise PoleError(f"digamma: z={z} is within {_POLE_TOL} of a pole")
-    if z.real < 0.5:
-        return digamma(1.0 - z) - math.pi * _cot_pi(z)
-    shift = 0.0 + 0.0j
-    while abs(z) < 12.0:
-        shift -= 1.0 / z
-        z = z + 1.0
-    # Asymptotic series: psi(z) ~ log z - 1/(2z) - sum B_2n / (2n z^2n)
-    inv2 = 1.0 / (z * z)
-    term = inv2
-    tail = 0.0 + 0.0j
-    for c in _DIGAMMA_ASYMP:
-        tail += c * term
-        term *= inv2
-    return shift + cmath.log(z) - 0.5 / z - tail
-
-
-def pochhammer(x: complex, n: int) -> complex:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
-    if n < 0:
-        raise ValueError("pochhammer: n must be non-negative")
-    x = complex(x)
-    # A non-positive integer inside the factor range makes the product vanish.
-    if _near_nonpositive_integer(x) or (
-        abs(x.imag) <= _POLE_TOL
-        and x.real < 0
-        and abs(x.real - round(x.real)) <= _POLE_TOL
-    ):
-        if n > -round(x.real):
-            return 0.0 + 0.0j
-    if n <= 64:
-        out = 1.0 + 0.0j
-        for j in range(n):
-            out *= x + j
-        return out
-    return cmath.exp(log_gamma(x + n) - log_gamma(x))
-
-
-def binom_general(s: complex, n: int) -> complex:
-    """Generalized binomial coefficient s(s-1)...(s-n+1)/n!."""
-    if n < 0:
-        raise ValueError("binom_general: n must be non-negative")
-    out = 1.0 + 0.0j
-    for j in range(n):
-        out *= (complex(s) - j) / (j + 1)
-    return out
 
 
 def cpow(z: complex, s: complex) -> complex:

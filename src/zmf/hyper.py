@@ -28,10 +28,11 @@ from .errors import (
     NearDegenerateParameterError,
     PoleError,
 )
-from .gamma import cpow, log_gamma
+from .gamma import log_gamma
 from .types import EvalResult, Method
 
 _MAX_TERMS = 200_000
+_TOL = 1e-13
 _INT_TOL = 1e-9
 
 
@@ -85,18 +86,30 @@ def _termination_order(spec: SeriesSpec):
     return m_stop
 
 
-def _sum_terminating(spec: SeriesSpec, m_stop: int):
-    total = 0.0 + 0.0j
+def _terms(spec: SeriesSpec):
+    """The series terms t_0 = 1, t_1, ... at spec.argument, each from the
+    last by t_{n+1} / t_n = z prod(a + n) / ((n + 1) prod(b + n))."""
+    z, upper, lower = spec.argument, spec.upper, spec.lower
     term = 1.0 + 0.0j
-    for n in range(m_stop + 1):
-        total += term
+    n = 0.0
+    while True:
+        yield term
         num = 1.0 + 0.0j
-        for a in spec.upper:
+        for a in upper:
             num *= a + n
-        den = float(n + 1)
-        for b in spec.lower:
+        den = n + 1.0
+        for b in lower:
             den *= b + n
-        term *= spec.argument * num / den
+        term *= z * num / den
+        n += 1.0
+
+
+def _partial_sum(spec: SeriesSpec, count: int) -> complex:
+    """t_0 + ... + t_{count-1}."""
+    total = 0.0 + 0.0j
+    terms = _terms(spec)
+    for _ in range(count):
+        total += next(terms)
     return total
 
 
@@ -112,7 +125,7 @@ def _term_at(spec: SeriesSpec, n: float) -> complex:
     return cmath.exp(acc)
 
 
-def _sum_near_unit(spec: SeriesSpec, tol: float) -> EvalResult:
+def _sum_near_unit(spec: SeriesSpec) -> EvalResult:
     """pFq for z at or near 1: direct partial sum plus a tail fitted to the
     t_n ~ n^{-1-alpha} (c0 + c1/n + ...) asymptotics and summed exactly with
     Hurwitz zeta (z = 1) or Lerch transcendent (z != 1) functions."""
@@ -124,17 +137,7 @@ def _sum_near_unit(spec: SeriesSpec, tol: float) -> EvalResult:
             "pFq at unit argument diverges: Re(sum(b)-sum(a)) must be > 0"
         )
     n_cut = 1000
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for n in range(n_cut + 1):
-        total += term
-        num = 1.0 + 0.0j
-        for a in spec.upper:
-            num *= a + n
-        den = float(n + 1)
-        for b in spec.lower:
-            den *= b + n
-        term *= z * num / den
+    total = _partial_sum(spec, n_cut + 1)
     # Fit tail coefficients at geometrically spaced n (Richardson-style).
     n_fit = [n_cut * 2**m for m in range(6)]
     rhs = np.array(
@@ -161,7 +164,7 @@ def _sum_near_unit(spec: SeriesSpec, tol: float) -> EvalResult:
     return EvalResult(total + tail, max(err, 2e-13 * abs(total + tail), 1e-15), Method.CLOSED_FORM)
 
 
-def pfq(spec: SeriesSpec, tol: float = 1e-13) -> EvalResult:
+def pfq(spec: SeriesSpec) -> EvalResult:
     """Evaluate the generalized hypergeometric series with a tail bound.
 
     Supported: terminating series (any z), |z| < 1, and |z| = 1 with
@@ -169,94 +172,37 @@ def pfq(spec: SeriesSpec, tol: float = 1e-13) -> EvalResult:
     """
     m_stop = _termination_order(spec)
     if m_stop is not None:
-        val = _sum_terminating(spec, m_stop)
+        val = _partial_sum(spec, m_stop + 1)
         return EvalResult(val, 1e-15 * (1.0 + abs(val)), Method.CLOSED_FORM)
     az = abs(spec.argument)
     if az > 1.0 + 1e-14:
         raise DomainError(f"pFq series diverges for |z| = {az} > 1")
     if az > 1.0 - 1e-3:
-        # Plain summation needs ~|log tol| / (1 - |z|) terms here; switch to
+        # Plain summation needs ~|log _TOL| / (1 - |z|) terms here; switch to
         # the asymptotic tail resummation instead.
-        return _sum_near_unit(spec, tol)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    z = spec.argument
+        return _sum_near_unit(spec)
     rho = 0.5 * (1.0 + az)  # majorant of the term ratio beyond the transient
-    for n in range(_MAX_TERMS):
-        total += term
-        prev = abs(term)
-        num = 1.0 + 0.0j
-        for a in spec.upper:
-            num *= a + n
-        den = float(n + 1)
-        for b in spec.lower:
-            den *= b + n
-        term *= z * num / den
+    terms = _terms(spec)
+    total = next(terms)
+    prev = abs(total)
+    n = 1
+    for term in terms:
         if term == 0.0:
             return EvalResult(total, 1e-15 * (1.0 + abs(total)), Method.CLOSED_FORM)
         # The ratio tends to |z| < rho; once it is actually below rho the
         # geometric majorant bounds the whole tail.
-        if n >= 4 and prev > 0 and abs(term) <= rho * prev:
-            bound = abs(term) * rho / (1.0 - rho)
-            if bound < tol:
+        cur = abs(term)
+        if n > 4 and prev > 0 and cur <= rho * prev:
+            bound = cur * rho / (1.0 - rho)
+            if bound < _TOL:
                 return EvalResult(
                     total + term, bound + 1e-15 * abs(total), Method.CLOSED_FORM
                 )
-    raise ConvergenceError("pFq: series did not converge within the term budget")
-
-
-def gauss_at_1(a: complex, b: complex, c: complex) -> EvalResult:
-    """Gauss summation: 2F1(a, b; c; 1) = G(c)G(c-a-b) / (G(c-a)G(c-b))."""
-    a, b, c = complex(a), complex(b), complex(c)
-    if (c - a - b).real <= 0:
-        raise DomainError("gauss_at_1 requires Re(c - a - b) > 0")
-    if _as_nonpositive_int(c) is not None:
-        raise PoleError("gauss_at_1: c is a non-positive integer")
-    # Gamma poles in the denominator make the ratio vanish.
-    for d in (c - a, c - b):
-        if _as_nonpositive_int(d) is not None:
-            return EvalResult(0.0 + 0.0j, 1e-16, Method.CLOSED_FORM)
-    val = cmath.exp(
-        log_gamma(c) + log_gamma(c - a - b) - log_gamma(c - a) - log_gamma(c - b)
-    )
-    return EvalResult(val, 1e-14 * abs(val), Method.CLOSED_FORM)
-
-
-def _f21(a, b, c, z, tol=1e-13) -> EvalResult:
-    return pfq(SeriesSpec((a, b), (c,), z), tol)
-
-
-def euler_transform_2f1(a, b, c, z, tol: float = 1e-13) -> EvalResult:
-    """(1-z)^(c-a-b) 2F1(c-a, c-b; c; z), checked against the direct series."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise DomainError("euler_transform_2f1: z on the cut [1, inf)")
-    a, b, c = complex(a), complex(b), complex(c)
-    lhs = cpow(1.0 - z, c - a - b) * pfq(SeriesSpec((c - a, c - b), (c,), z), tol).value
-    direct = pfq(SeriesSpec((a, b), (c,), z), tol)
-    resid = abs(lhs - direct.value)
-    if resid > 1e3 * (direct.abs_err + tol) + 1e-10 * (1 + abs(lhs)):
-        raise ConvergenceError(
-            f"euler_transform_2f1: identity residual {resid} out of bounds"
-        )
-    return EvalResult(lhs, resid + direct.abs_err, Method.CLOSED_FORM)
-
-
-def pfaff_transform_2f1(a, b, c, z, tol: float = 1e-13) -> EvalResult:
-    """(1-z)^(-a) 2F1(a, c-b; c; z/(z-1)); stated validity |z| <= 1/2."""
-    z = complex(z)
-    if abs(z) > 0.5 + 1e-12:
-        raise DomainError("pfaff_transform_2f1 requires |z| <= 1/2")
-    a, b, c = complex(a), complex(b), complex(c)
-    w = z / (z - 1.0) if z != 0 else 0.0 + 0.0j
-    lhs = cpow(1.0 - z, -a) * pfq(SeriesSpec((a, c - b), (c,), w), tol).value
-    direct = pfq(SeriesSpec((a, b), (c,), z), tol)
-    resid = abs(lhs - direct.value)
-    if resid > 1e3 * (direct.abs_err + tol) + 1e-10 * (1 + abs(lhs)):
-        raise ConvergenceError(
-            f"pfaff_transform_2f1: identity residual {resid} out of bounds"
-        )
-    return EvalResult(lhs, resid + direct.abs_err, Method.CLOSED_FORM)
+        total += term
+        prev = cur
+        n += 1
+        if n > _MAX_TERMS:
+            raise ConvergenceError("pFq: series did not converge within the term budget")
 
 
 def family_spec(r: int, s: complex, w: complex) -> SeriesSpec:
@@ -283,25 +229,19 @@ _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
 
 
-def _series_theta_derivatives(spec: SeriesSpec, z0: complex, order: int):
-    """(theta^j F)(z0) for j = 0..order by term-wise differentiation."""
+def _series_theta_derivatives(spec: SeriesSpec, order: int):
+    """(theta^j F)(z) at z = spec.argument for j = 0..order by term-wise
+    differentiation."""
     vals = [0.0 + 0.0j] * (order + 1)
-    term = 1.0 + 0.0j
-    for n in range(_MAX_TERMS):
+    for n, term in enumerate(_terms(spec)):
+        # Stop once t_n, times the largest weight (n-1)^order summed so far,
+        # is negligible.
+        if n > 9 and abs(term) * (float(n - 1) ** order) < 1e-16:
+            return vals
+        if n == _MAX_TERMS:
+            raise ConvergenceError("initial-condition series did not converge")
         for j in range(order + 1):
             vals[j] += term * (float(n) ** j)
-        num = 1.0 + 0.0j
-        for a in spec.upper:
-            num *= a + n
-        den = float(n + 1)
-        for b in spec.lower:
-            den *= b + n
-        term *= z0 * num / den
-        if n > 8 and abs(term) * (float(n) ** order) < 1e-16:
-            break
-    else:
-        raise ConvergenceError("initial-condition series did not converge")
-    return vals
 
 
 def _theta_poly(params) -> np.ndarray:
@@ -312,11 +252,7 @@ def _theta_poly(params) -> np.ndarray:
     return coeffs  # coeffs[m] multiplies theta^m
 
 
-def pfq_continued(
-    spec: SeriesSpec,
-    branch: ContinuationBranch,
-    tol: float = 1e-11,
-) -> EvalResult:
+def pfq_continued(spec: SeriesSpec, branch: ContinuationBranch) -> EvalResult:
     """Analytic continuation of the family pFq to real argument w > 1 along a
     path through the chosen half-plane (w < 1 is allowed and stays on the
     real axis; both branches then agree)."""
@@ -338,7 +274,7 @@ def pfq_continued(
             )
     m_stop = _termination_order(spec)
     if m_stop is not None:
-        val = _sum_terminating(spec, m_stop)
+        val = _partial_sum(spec, m_stop + 1)
         return EvalResult(val, 1e-14 * (1.0 + abs(val)), Method.CLOSED_FORM)
     if abs(w - 1.0) < 10 * _ODE_ATOL:
         raise DomainError("pfq_continued: argument pinned at the singularity z = 1")
@@ -346,7 +282,7 @@ def pfq_continued(
     z0 = 0.5 + 0.0j
     order = r  # ODE order is r+1; carry theta^0..theta^r
     y0 = np.array(
-        _series_theta_derivatives(SeriesSpec(spec.upper, spec.lower, z0), z0, order)
+        _series_theta_derivatives(SeriesSpec(spec.upper, spec.lower, z0), order)
     )
     if w < 1.0 - _DETOUR / 4.0:
         path = [z0, complex(w)]

@@ -172,6 +172,27 @@ def meijer_mb(spec: MeijerSpec, tol: float = 1e-11) -> EvalResult:
     return EvalResult(total, err, Method.CONTOUR)
 
 
+def elliptic_2k(c64: float, x2: np.ndarray, x3: float) -> np.ndarray:
+    """2 K(m) at m = 1 - p, p = c64 x2 x3: the inner elliptic integral of the
+    W_3 triple-integral representation, for an array of x2."""
+    # ellipkm1 takes 1 - m directly; forming m = 1 - tiny first would cancel
+    # to m = 1 and overflow.
+    p = c64 * x2 * x3
+    with np.errstate(divide="ignore"):
+        kk = 2.0 * ellipkm1(p)
+    # The product can underflow to zero when x3 is extreme; use
+    # 2 K(1-p) -> log(16/p) there, with log p assembled per factor.
+    under = p == 0.0
+    if np.any(under):
+        kk[under] = (
+            math.log(16.0)
+            - math.log(c64)
+            - np.log(x2[under])
+            - math.log(x3)
+        )
+    return kk
+
+
 def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResult:
     """The W_3 G-function instance via its triple-integral representation.
 
@@ -193,23 +214,8 @@ def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResul
             w3 = cmath.exp(0.5 * (s - 1.0) * math.log1p(-x3i)) / math.sqrt(x3i)
 
             def inner(x2: np.ndarray) -> np.ndarray:
-                # ellipkm1 takes 1 - m directly; forming m = 1 - tiny first
-                # would cancel to m = 1 and overflow.
-                p = c64 * x2 * x3i
-                with np.errstate(divide="ignore"):
-                    kk = 2.0 * ellipkm1(p)
-                # The product can underflow to zero when x3 is extreme; use
-                # 2 K(1-p) -> log(16/p) there, with log p assembled per factor.
-                under = p == 0.0
-                if np.any(under):
-                    kk[under] = (
-                        math.log(16.0)
-                        - math.log(c64)
-                        - np.log(x2[under])
-                        - math.log(x3i)
-                    )
                 w2 = np.exp(0.5 * s * np.log1p(-x2)) / np.sqrt(x2)
-                return w2 * kk
+                return w2 * elliptic_2k(c64, x2, x3i)
 
             v, _ = tanh_sinh_relaxed(inner, 0.0, 1.0, tol / 10.0)
             out[i] = w3 * v

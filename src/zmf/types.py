@@ -62,8 +62,6 @@ class QuadratureConfig:
     """Settings for the torus-integration oracles."""
 
     tol: float = 1e-10
-    max_subdivisions: int = 200
-    singularity_splitting: bool = True
     seed: int = 0
     samples: int = 1_000_000
 

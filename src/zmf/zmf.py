@@ -32,7 +32,7 @@ from .hyper import (
     pfq,
     pfq_continued,
 )
-from .meijer import meijer_mb, meijer_triple_integral, w2_g_spec, w3_g_spec
+from .meijer import meijer_mb, w2_g_spec, w3_g_spec
 from .types import EvalResult, Method, ZmfPoint
 
 # Frozen calibration: continuing the family series to w = 4^r/k^2 > 1 through
@@ -247,11 +247,11 @@ def w2_odd(k: float, n: int) -> EvalResult:
     )
 
 
-def w3(k: float, s: complex, g_method: str = "contour") -> EvalResult:
+def w3(k: float, s: complex) -> EvalResult:
     """W_3(k;s) for |k| < 8, Re(s) > -1, s away from odd positive integers.
 
-    g_method selects how the Meijer-G term is evaluated: "contour"
-    (Mellin-Barnes) or "integral" (triple-integral representation).
+    The Meijer-G term is evaluated by its Mellin-Barnes contour;
+    meijer_triple_integral is the independent check of that route.
     """
     k = abs(float(k))
     s = complex(s)
@@ -276,10 +276,7 @@ def w3(k: float, s: complex, g_method: str = "contour") -> EvalResult:
         pref2 = -t * t / (4.0 * math.pi * (s + 1.0)) * cpow(k, 1.0 + s)
         total += pref2 * f2.value
         err += abs(pref2) * f2.abs_err
-        if g_method == "integral":
-            g = meijer_triple_integral(s, k)
-        else:
-            g = meijer_mb(w3_g_spec(s, k))
+        g = meijer_mb(w3_g_spec(s, k))
         pref3 = (
             cmath.exp(s * math.log(4.0) + log_gamma(1.0 + s)) * t / math.pi**3.5
         )
@@ -315,16 +312,11 @@ def f_rs(r: int, s: complex, z: complex) -> EvalResult:
         f = pfq(family_spec(r, s, 1.0))
     else:
         # Continuation branch: z just above the real axis maps to
-        # w = 4^r/z^2 just below (x > 0) or above (x < 0) the real w-axis.
-        branch = (
-            CONTINUATION_BRANCH
-            if x > 0
-            else (
-                ContinuationBranch.FROM_ABOVE
-                if CONTINUATION_BRANCH is ContinuationBranch.FROM_BELOW
-                else ContinuationBranch.FROM_BELOW
-            )
-        )
+        # w = 4^r/z^2 just below (x > 0) or above (x < 0) the real w-axis,
+        # so x < 0 takes the branch opposite to CONTINUATION_BRANCH.
+        branch = CONTINUATION_BRANCH
+        if x < 0:
+            (branch,) = set(ContinuationBranch) - {CONTINUATION_BRANCH}
         f = pfq_continued(family_spec(r, s, 4.0**r / (x * x)), branch)
     scale = cpow(complex(x), s)  # principal branch: e^{i pi s} |x|^s for x < 0
     return EvalResult(scale * f.value, abs(scale) * f.abs_err, f.method)

@@ -6,10 +6,8 @@ from zmf.errors import DomainError
 from zmf.hyper import (
     ContinuationBranch,
     SeriesSpec,
-    euler_transform_2f1,
+    _series_theta_derivatives,
     family_spec,
-    gauss_at_1,
-    pfaff_transform_2f1,
     pfq,
     pfq_continued,
 )
@@ -61,17 +59,22 @@ def test_near_unit_argument(z):
     assert got == pytest.approx(want, rel=2e-12)
 
 
-def test_gauss_summation():
-    a, b, c = 0.3, -0.45, 1.7
-    want = hyp2f1(a, b, c, 1.0)
-    assert gauss_at_1(a, b, c).value == pytest.approx(want, rel=1e-13)
-
-
-def test_euler_and_pfaff_transforms():
-    a, b, c, z = 0.4, 0.9, 1.6, 0.45
-    direct = pfq(SeriesSpec((a, b), (c,), z)).value
-    assert euler_transform_2f1(a, b, c, z).value == pytest.approx(direct, rel=1e-12)
-    assert pfaff_transform_2f1(a, b, c, z).value == pytest.approx(direct, rel=1e-12)
+def test_theta_derivative_initial_conditions():
+    # (theta^j F)(z) = d^j/du^j F(e^u) at u = log z, theta = z d/dz; these
+    # seed the continuation ODE
+    s, z0 = 1.3 + 0.4j, 0.5
+    spec = family_spec(3, s, z0)
+    got = _series_theta_derivatives(spec, 3)
+    with mpmath.workdps(30):
+        want = [
+            complex(mpmath.diff(
+                lambda u: mpmath.hyper(spec.upper, spec.lower, mpmath.exp(u)),
+                mpmath.log(z0),
+                j,
+            ))
+            for j in range(4)
+        ]
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_family_spec_structure():
