@@ -252,7 +252,14 @@ def _fd_s_derivative(fn, h: float = 1e-4) -> complex:
 
 def mahler_w2_routes(k: float) -> dict:
     """The r = 2 Mahler measure by three independent routes: the 3F2 closed
-    form, the double-integral form, and d/ds of the moment function at 0."""
+    form, the double-integral form, and d/ds of the moment function at 0.
+
+    The double integral's inner coordinate is elementary:
+    int_0^1 dx1 / sqrt(x1 (1 - a x1)) = 2 arcsin(sqrt a) / sqrt a with
+    a = z x2.  The outer one runs in theta with x2 = sin^2 theta, which
+    absorbs the 1/sqrt(x2 (1 - x2)) weight and leaves the smooth integrand
+    4 arcsin(sqrt z sin theta) / (sqrt z sin theta) on (0, pi/2).
+    """
     k = abs(float(k))
     if k >= 4.0:
         raise DomainError("requires |k| < 4")
@@ -260,21 +267,15 @@ def mahler_w2_routes(k: float) -> dict:
         return {"series": 0.0, "integral": 0.0, "derivative": 0.0}
     z = k * k / 16.0
     series = k / 4.0 * pfq(SeriesSpec((0.5, 0.5, 0.5), (1.0, 1.5), z)).value.real
+    sqrt_z = k / 4.0
 
-    def outer(x2: np.ndarray) -> np.ndarray:
-        out = np.empty(len(x2), dtype=complex)
-        for i, x2i in enumerate(x2):
-            w = 1.0 / math.sqrt(x2i * (1.0 - x2i))
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        # arcsin(x)/x -> 1 as x -> 0; the floor keeps x = 0 from giving 0/0.
+        x = np.maximum(sqrt_z * np.sin(theta), np.finfo(float).tiny)
+        return 4.0 * np.arcsin(x) / x
 
-            def inner(x1: np.ndarray) -> np.ndarray:
-                return 1.0 / np.sqrt(x1 * (1.0 - x1 * x2i * z))
-
-            v, _ = tanh_sinh_relaxed(inner, 0.0, 1.0, 1e-11)
-            out[i] = w * v
-        return out
-
-    v, _ = tanh_sinh_relaxed(outer, 0.0, 1.0, 1e-10)
-    integral = k / (8.0 * math.pi) * v.real
+    v, _ = tanh_sinh_relaxed(integrand, 0.0, 0.5 * math.pi, 1e-12)
+    integral = k / (8.0 * math.pi) * float(v)
     deriv = _fd_s_derivative(lambda h: w2(k, h).value).real
     return {"series": series, "integral": integral, "derivative": deriv}
 

@@ -76,6 +76,12 @@ class TestMahler:
         vals = list(routes.values())
         assert max(vals) - min(vals) < 1e-6
 
+    @pytest.mark.parametrize("k", [0.5, 2.0, 3.5])
+    def test_w2_integral_matches_series(self, k):
+        # the theta form of the double integral has no endpoint singularity
+        routes = mahler_w2_routes(k)
+        assert abs(routes["integral"] - routes["series"]) < 1e-13
+
     def test_w2_value(self):
         assert mahler_w2(2.0).value.real == pytest.approx(0.511424067053, abs=1e-8)
 

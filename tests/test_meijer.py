@@ -1,7 +1,9 @@
+import random
+
 import mpmath
 import pytest
 
-from zmf.errors import DomainError
+from zmf.errors import ContourError, DomainError
 from zmf.meijer import (
     MeijerSpec,
     meijer_mb,
@@ -34,6 +36,36 @@ def test_w2_block_against_mpmath(s, k):
     got = meijer_mb(spec)
     want = mp_g(spec)
     assert got.value == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def _sweep_specs(seed: int = 6, count: int = 16) -> list:
+    """Seeded W_3 blocks at real and complex s, and indented W_2 blocks at
+    n = 1, 3, 5.  k stays where mpmath.meijerg is quick (k <= 7.5 for W_3,
+    k <= 3.8 for W_2)."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        if i % 3 == 2:
+            specs.append(w2_g_spec((1, 3, 5)[(i // 3) % 3], rng.uniform(0.3, 3.8)))
+        else:
+            im = rng.uniform(-3.0, 3.0) if i % 2 else 0.0
+            specs.append(w3_g_spec(complex(rng.uniform(-0.8, 4.0), im), rng.uniform(0.3, 7.5)))
+    return specs
+
+
+@pytest.mark.parametrize("spec", _sweep_specs())
+def test_sweep_against_mpmath_within_error_bar(spec):
+    # the reported error must cover the true error and stay small
+    got = meijer_mb(spec)
+    want = mp_g(spec)
+    assert abs(got.value - want) <= got.abs_err <= 1e-12 * (1.0 + abs(got.value))
+
+
+def test_coalescing_pole_families_raise():
+    # left poles a - 1 - l = -1, -2, ... land on right poles b + l = -1, 0, ...
+    spec = MeijerSpec((0.0,) * 3, (-1.0, 0.5, 0.5), (2, 3, 3, 3), 0.5)
+    with pytest.raises(ContourError, match="coalesce"):
+        meijer_mb(spec)
 
 
 def test_conjugation_symmetry():
