@@ -23,7 +23,7 @@ from .gamma import cpow
 from .hyper import SeriesSpec, pfq
 from .meijer import elliptic_2k, meijer_mb, w3_g_spec
 from .types import EvalResult, Method
-from .quadutil import tanh_sinh_relaxed
+from .quadutil import tanh_sinh_relaxed, ts_rows
 from .zmf import w1, w2, w3
 
 
@@ -299,16 +299,11 @@ def mahler_w3_routes(k: float) -> dict:
     c64 = k * k / 64.0
 
     def outer(x3: np.ndarray) -> np.ndarray:
-        out = np.empty(len(x3), dtype=complex)
-        for i, x3i in enumerate(x3):
-            w = 1.0 / math.sqrt(x3i)
+        def inner(rows: np.ndarray, x2: np.ndarray) -> np.ndarray:
+            return elliptic_2k(c64, x2, x3[rows, None]) / np.sqrt(x2 * (1.0 - x2))
 
-            def inner(x2: np.ndarray) -> np.ndarray:
-                return elliptic_2k(c64, x2, x3i) / np.sqrt(x2 * (1.0 - x2))
-
-            v, _ = tanh_sinh_relaxed(inner, 0.0, 1.0, 1e-10)
-            out[i] = w * v
-        return out
+        v, _, _ = ts_rows(inner, np.zeros(len(x3)), 1.0, 1e-10)
+        return 1.0 / np.sqrt(x3) * v
 
     v, _ = tanh_sinh_relaxed(outer, 0.0, 1.0, 1e-9)
     integral = k / (16.0 * math.pi**2) * v.real

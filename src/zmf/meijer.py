@@ -38,7 +38,7 @@ from scipy.special import ellipkm1, loggamma
 from .errors import ContourError, DomainError
 from .gamma import log_gamma
 from .types import EvalResult, Method
-from .quadutil import tanh_sinh_relaxed
+from .quadutil import tanh_sinh_relaxed, ts_rows
 
 _ALLOWED_ORDERS = {(2, 4, 4, 4), (2, 3, 3, 3)}
 _POLE_RANGE = 200
@@ -193,9 +193,10 @@ def meijer_mb(spec: MeijerSpec, tol: float = 1e-11) -> EvalResult:
     return EvalResult(total, err, Method.CONTOUR)
 
 
-def elliptic_2k(c64: float, x2: np.ndarray, x3: float) -> np.ndarray:
+def elliptic_2k(c64: float, x2: np.ndarray, x3) -> np.ndarray:
     """2 K(m) at m = 1 - p, p = c64 x2 x3: the inner elliptic integral of the
-    W_3 triple-integral representation, for an array of x2."""
+    W_3 triple-integral representation, for an array of x2 and an x3 that
+    broadcasts against it (a scalar or a column of outer nodes)."""
     # ellipkm1 takes 1 - m directly; forming m = 1 - tiny first would cancel
     # to m = 1 and overflow.
     p = c64 * x2 * x3
@@ -205,11 +206,12 @@ def elliptic_2k(c64: float, x2: np.ndarray, x3: float) -> np.ndarray:
     # 2 K(1-p) -> log(16/p) there, with log p assembled per factor.
     under = p == 0.0
     if np.any(under):
+        x2, x3 = np.broadcast_arrays(x2, x3)
         kk[under] = (
             math.log(16.0)
             - math.log(c64)
             - np.log(x2[under])
-            - math.log(x3)
+            - np.log(x3[under])
         )
     return kk
 
@@ -219,7 +221,8 @@ def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResul
 
     The innermost coordinate is an elliptic integral in disguise:
     int_0^1 dx1 / sqrt(x1 (1-x1) (1 - m x1)) = 2 K(m) with parameter
-    m = 1 - (k^2/64) x2 x3, so only a 2-d singular integral remains.
+    m = 1 - (k^2/64) x2 x3, so only a 2-d singular integral remains; the
+    x2 integrals for all outer x3 nodes of a level run as rows of one ladder.
     """
     s = complex(s)
     k = float(k)
@@ -230,17 +233,14 @@ def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResul
     c64 = k * k / 64.0
 
     def outer(x3: np.ndarray) -> np.ndarray:
-        out = np.empty(len(x3), dtype=complex)
-        for i, x3i in enumerate(x3):
-            w3 = cmath.exp(0.5 * (s - 1.0) * math.log1p(-x3i)) / math.sqrt(x3i)
+        w3 = np.exp(0.5 * (s - 1.0) * np.log1p(-x3)) / np.sqrt(x3)
 
-            def inner(x2: np.ndarray) -> np.ndarray:
-                w2 = np.exp(0.5 * s * np.log1p(-x2)) / np.sqrt(x2)
-                return w2 * elliptic_2k(c64, x2, x3i)
+        def inner(rows: np.ndarray, x2: np.ndarray) -> np.ndarray:
+            w2 = np.exp(0.5 * s * np.log1p(-x2)) / np.sqrt(x2)
+            return w2 * elliptic_2k(c64, x2, x3[rows, None])
 
-            v, _ = tanh_sinh_relaxed(inner, 0.0, 1.0, tol / 10.0)
-            out[i] = w3 * v
-        return out
+        v, _, _ = ts_rows(inner, np.zeros(len(x3)), 1.0, tol / 10.0)
+        return w3 * v
 
     val, err = tanh_sinh_relaxed(outer, 0.0, 1.0, tol)
     # Inner integrals carry relative error ~tol/10 each; the outer successive

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .types import EvalResult, Method, QuadratureConfig, ZmfPoint
-from .quadutil import split_points, tanh_sinh_relaxed
+from .quadutil import cabs, split_points, tanh_sinh_relaxed, ts_rows
 
 _DEFAULT_CFG = QuadratureConfig()
 
@@ -33,6 +33,50 @@ def _abs_pow(base: np.ndarray, s: complex) -> np.ndarray:
         out = np.exp(complex(s) * np.log(mag))
     out = np.where(mag == 0.0, 0.0, out)
     return out
+
+
+def _t1_jobs(d0: np.ndarray) -> tuple:
+    """Quadrature pieces of T_1 for each signed distance d0 = |k| - 2.
+
+    Every (near-)singular point is mapped to the origin of a piece's local
+    variable u.  For d0 >= 0 (u = pi - t) the base |k + 2 cos t| is
+    d0 + 4 sin^2(u/2).  For d0 < 0 the zero t0 = pi - eps, with
+    sin^2(eps/2) = -d0/4 resolved from the exact distance, splits [0, pi]
+    into u = t0 - t on (0, t0) and u = t - t0 on (0, eps), with the product
+    forms 4 sin(eps + u/2) sin(u/2) and 4 sin(eps - u/2) sin(u/2).  A
+    near-double root (d0 < 0.25 or eps < 0.25) behaves like (d0 + u^2)^s and
+    levels off below u ~ sqrt(d0); the first piece is split there so each
+    part has a single scale.
+
+    Returns arrays over pieces (row, a, b, shift, sign): shift is d0 or eps
+    and sign is 0, +1 or -1 as in ``_t1_base``.  Pieces come slot by slot
+    (every row's first piece, then the second pieces, then the third), so
+    each row's pieces appear in its summation order.
+    """
+    pos = d0 >= 0.0
+    # math.asin: numpy's vectorized arcsin differs from libm in the last bit.
+    eps = np.array([2.0 * math.asin(0.5 * math.sqrt(-d)) if d < 0.0 else 0.0 for d in d0])
+    end = np.where(pos, math.pi, math.pi - eps)
+    near = np.where(pos, (0.0 < d0) & (d0 < 0.25), eps < 0.25)
+    ustar = np.where(pos, 2.0 * np.sqrt(np.abs(d0)), np.minimum(2.0 * eps, end))
+    shift = np.where(pos, d0, eps)
+    sign = np.where(pos, 0.0, 1.0)
+    rows = np.arange(len(d0))
+    zero = np.zeros(len(d0))
+    slots = (
+        (rows, zero, np.where(near, ustar, end), shift, sign),
+        (rows[near], ustar[near], end[near], shift[near], sign[near]),
+        (rows[~pos], zero[~pos], eps[~pos], eps[~pos], -sign[~pos]),
+    )
+    return tuple(np.concatenate(col) for col in zip(*slots))
+
+
+def _t1_base(shift, sign, u: np.ndarray) -> np.ndarray:
+    """|k + 2 cos t| at local u on pieces of one kind: all sign 0 or none."""
+    sh = np.sin(0.5 * u)
+    if not np.any(sign):
+        return shift + 4.0 * sh**2
+    return 4.0 * np.sin(shift + sign * (0.5 * u)) * sh
 
 
 def _t1(k: float, s: complex, tol: float, delta: float | None = None):
@@ -51,52 +95,43 @@ def _t1(k: float, s: complex, tol: float, delta: float | None = None):
     # division may supply it exactly, which matters when |k - 2| is below
     # the rounding of k itself.
     d0 = (k - 2.0) if delta is None else float(delta)
-    jobs = []
-    if d0 >= 0.0:
-        # u = pi - t: |k + 2 cos t| = (k-2) + 4 sin^2(u/2), both terms >= 0.
-        def base(u, d0=d0):
-            return d0 + 4.0 * np.sin(0.5 * u) ** 2
-
-        if 0.0 < d0 < 0.25:
-            # Near-double root: the integrand behaves like (d0 + u^2)^s and
-            # levels off below u ~ sqrt(d0); split there so each piece has a
-            # single scale.
-            ustar = 2.0 * math.sqrt(d0)
-            jobs.append((0.0, ustar, base))
-            jobs.append((ustar, math.pi, base))
-        else:
-            jobs.append((0.0, math.pi, base))
-    else:
-        # Zero at t0 = pi - eps with sin^2(eps/2) = (2-k)/4, resolved from
-        # the exact boundary distance; |k + 2 cos t| in product form
-        # 4 |sin((t+t0)/2)| |sin((t-t0)/2)| with both arguments kept exact.
-        eps = 2.0 * math.asin(0.5 * math.sqrt(-d0))
-        t0 = math.pi - eps
-
-        def base_a(u, eps=eps):  # u = t0 - t
-            return 4.0 * np.sin(eps + 0.5 * u) * np.sin(0.5 * u)
-
-        if eps < 0.25:
-            # Root nearly double (k just below 2): same two-scale split.
-            ustar = min(2.0 * eps, t0)
-            jobs.append((0.0, ustar, base_a))
-            jobs.append((ustar, t0, base_a))
-        else:
-            jobs.append((0.0, t0, base_a))
-
-        def base_b(u, eps=eps):  # u = t - t0, u <= eps
-            return 4.0 * np.sin(eps - 0.5 * u) * np.sin(0.5 * u)
-
-        jobs.append((0.0, eps, base_b))
+    _, a, b, shift, sign = _t1_jobs(np.array([d0]))
     total = 0.0 + 0.0j
     err = 0.0
-    for a, b, base in jobs:
+    for j in range(len(a)):
         v, e = tanh_sinh_relaxed(
-            lambda u, base=base: _abs_pow(base(u), s), a, b, tol / len(jobs)
+            lambda u, j=j: _abs_pow(_t1_base(shift[j], sign[j], u), s),
+            float(a[j]), float(b[j]), tol / len(a),
         )
         total += v
         err += e
     return total / math.pi, err / math.pi
+
+
+def _t1_rows(delta: np.ndarray, s: complex, tol: np.ndarray):
+    """``_t1(., s, tol_i, delta=delta_i)`` for every row, with all pieces of
+    all rows in one batched level ladder; returns arrays (value, error)."""
+    row, a, b, shift, sign = _t1_jobs(delta)
+    plain = sign == 0.0
+
+    def f(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        kind = plain[rows]
+        if kind.all() or not kind.any():
+            return _abs_pow(_t1_base(shift[rows, None], sign[rows, None], u), s)
+        base = np.empty_like(u)
+        for m in (kind, ~kind):
+            base[m] = _t1_base(shift[rows[m], None], sign[rows[m], None], u[m])
+        return _abs_pow(base, s)
+
+    # Each piece gets its row's tolerance divided by the row's piece count.
+    val, err, _ = ts_rows(f, a, b, tol[row] / np.bincount(row)[row])
+    total = np.zeros(len(delta), dtype=complex)
+    errs = np.zeros(len(delta))
+    # add.at accumulates in index order, so each row sums its pieces in the
+    # order _t1 does.
+    np.add.at(total, row, val)
+    np.add.at(errs, row, err)
+    return total / math.pi, errs / math.pi
 
 
 def _outer_segments(pts: list) -> list:
@@ -157,30 +192,34 @@ def _t_nested(r: int, k: float, s: complex, tol: float):
 
         def outer(uarr: np.ndarray) -> np.ndarray:
             out = np.empty(len(uarr), dtype=complex)
-            absc_arr, onemc_arr = cos_parts(uarr)
-            for i in range(len(uarr)):
-                absc = float(absc_arr[i])
-                if absc < thr:
-                    z = edge_in * edge_in * (absc / k) ** 2
-                    out[i] = k_pow_s * (1.0 + alpha * z)
-                    continue
-                wgt = abs(_abs_pow(np.array([absc]), s)[0])
-                tol_in = tol / max(1.0, wgt)
-                if r == 2:
-                    # Hand the inner argument's signed distance to the edge
-                    # over exactly: k/|2cos t| - 2 = ((k-4) + 4(1-|cos t|))/|2cos t|.
-                    # The floor keeps a node that lands within rounding of
-                    # the edge itself (true distance > 0, weight ~1e-300)
-                    # from evaluating the genuinely divergent edge integral.
-                    delta = ((k - 4.0) + 4.0 * float(onemc_arr[i])) / absc
-                    if abs(delta) < 1e-250:
-                        delta = 1e-250 if delta >= 0.0 else -1e-250
-                    v, e = _t1(k / absc, s, tol_in, delta=delta)
-                else:
-                    v, e = _t_nested(r - 1, k / (sign * absc), s, tol_in)
+            absc, onemc = cos_parts(uarr)
+            near_edge = absc < thr
+            for i in np.flatnonzero(near_edge):
+                z = edge_in * edge_in * (float(absc[i]) / k) ** 2
+                out[i] = k_pow_s * (1.0 + alpha * z)
+            inside = ~near_edge
+            absc = absc[inside]
+            pw = _abs_pow(absc, s)
+            wgt = cabs(pw)
+            tol_in = tol / np.maximum(1.0, wgt)
+            if r == 2:
+                # Hand the inner argument's signed distance to the edge over
+                # exactly: k/|2cos t| - 2 = ((k-4) + 4(1-|cos t|))/|2cos t|.
+                # The floor keeps a node that lands within rounding of the
+                # edge itself (true distance > 0, weight ~1e-300) from
+                # evaluating the genuinely divergent edge integral.
+                delta = ((k - 4.0) + 4.0 * onemc[inside]) / absc
+                tiny = np.abs(delta) < 1e-250
+                delta[tiny] = np.where(delta[tiny] >= 0.0, 1e-250, -1e-250)
+                v, e = _t1_rows(delta, s, tol_in)
+            else:
+                inner = [_t_nested(r - 1, k / (sign * a), s, t) for a, t in zip(absc, tol_in)]
+                v = np.array([vi for vi, _ in inner], dtype=complex)
+                e = np.array([ei for _, ei in inner])
+            if len(e):
                 # Inner error enters the outer integrand scaled by |2 cos t|^Re s.
-                inner_err[0] = max(inner_err[0], wgt * e)
-                out[i] = _abs_pow(np.array([absc]), s)[0] * v
+                inner_err[0] = max(inner_err[0], float(np.max(wgt * e)))
+            out[inside] = pw * v
             return out
 
         return outer
@@ -210,6 +249,11 @@ def torus_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> E
     s = complex(point.s)
     if s.real <= -1.0 and abs(point.k) < 2.0**point.r:
         raise DomainError("non-integrable: Re(s) <= -1 with zeros on the torus")
+    if point.r >= 2 and 0.0 < abs(point.k) < 2.0**point.r and s.real < -0.5:
+        # There the inner integral diverges at the regime edge (T_1(k') like
+        # |k' - 2|^(s+1/2) at r = 2), which the nest does not resolve: its
+        # edge floor returned values off by up to 1e84.
+        raise DomainError("torus nest needs Re(s) >= -1/2 for 0 < |k| < 2^r at r >= 2")
     val, err = _t_nested(point.r, float(point.k), s, cfg.tol)
     return EvalResult(val, err, Method.QUADRATURE)
 

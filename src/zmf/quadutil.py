@@ -5,11 +5,25 @@ endpoint singularities; node placement decays double-exponentially toward
 the endpoints, so |x - a|^sigma with sigma > -1 converges at spectral rate
 without explicit substitutions.
 
-Abscissae are generated together with their exact distance to the nearest
-endpoint (1 - |x| evaluated in exponential form), and integrands are called
-at b - c1*d or a + c1*d rather than c2 + c1*x.  Plain affine mapping rounds
+Node tables.  Level 0 is the grid h = 1/2 on [-6.5, 6.5]; level j >= 1 adds
+the odd positions of the grid h = 2^-(j+1), so the grids nest and each
+refinement evaluates only its new nodes.  Each level's table holds, in t
+order, the node's exact distance d to the nearer end of (-1, 1) (1 - |x|
+evaluated in exponential form), its weight w, and whether that end is the
+right one; nodes whose weight or distance underflows are dropped.  The
+tables (12,485 nodes up to level 9) are built once at import, so a level
+costs a gather, the integrand and one weighted sum.  Integrands are called
+at b - c1*d or a + c1*d rather than c2 + c1*x: plain affine mapping rounds
 nodes onto the endpoints once the distance drops below one ulp, which
 evaluates endpoint-singular integrands at the singularity itself.
+
+Row ladder.  ``ts_rows`` integrates many rows (a_i, b_i, tol_i) through the
+same level ladder with one integrand call per level on a 2-D grid of the
+rows still active.  Each row stops at its own level by the scalar rule:
+the successive difference falls below tol_i * (1 + |value|) or below
+tol_i.  A row that exhausts max_level keeps its last refinement and is
+flagged unconverged.  ``_ts_run`` is the one-row call and gives the same
+bits as a row of a batch.
 """
 
 from __future__ import annotations
@@ -26,11 +40,14 @@ from .errors import ConvergenceError
 # 1e-14 even at sigma = -0.9.
 _T_MAX = 6.5
 _W_CUT = 1e-300
+_MAX_LEVEL = 9
+# Rows are evaluated in blocks of at most this many nodes, which bounds the
+# integrand's temporaries when many rows reach deep levels.
+_BLOCK = 1 << 16
 
 
-def _weighted_sum(f, a: float, b: float, t: np.ndarray) -> complex:
-    """sum_i w(t_i) f(x(t_i)) for the given transform abscissae."""
-    c1 = 0.5 * (b - a)
+def _node_table(t: np.ndarray) -> tuple:
+    """(d, w, right) for the transform abscissae t, underflowed nodes dropped."""
     st = 0.5 * math.pi * np.sinh(t)
     # 1 - tanh(u) = 2 e^{-2u} / (1 + e^{-2u}), computed without cancellation.
     e = np.exp(-2.0 * np.abs(st))
@@ -39,35 +56,86 @@ def _weighted_sum(f, a: float, b: float, t: np.ndarray) -> complex:
     # cosh(st)^2 form overflows beyond |st| ~ 355.
     w = 0.5 * math.pi * np.cosh(t) * 4.0 * e / (1.0 + e) ** 2
     keep = (w > _W_CUT) & (d > 0.0)
-    if not np.any(keep):
-        return 0.0 + 0.0j
-    sign = np.sign(st)[keep]
-    d = d[keep]
-    w = w[keep]
-    pts = np.where(sign >= 0.0, b - c1 * d, a + c1 * d)
-    # Clamp strictly inside (a, b): once c1*d is below one ulp the affine map
-    # rounds onto the endpoint, which endpoint-singular integrands cannot take.
-    pts = np.clip(pts, np.nextafter(a, b), np.nextafter(b, a))
-    return np.sum(w * f(pts))
+    return d[keep], w[keep], st[keep] >= 0.0
+
+
+def _build_tables() -> tuple:
+    h = 0.5
+    tables = [_node_table(np.arange(-_T_MAX, _T_MAX + 0.5 * h, h))]
+    for _ in range(_MAX_LEVEL):
+        h *= 0.5
+        tables.append(_node_table(np.arange(-_T_MAX + h, _T_MAX, 2.0 * h)))
+    return tuple(tables)
+
+
+_TABLES = _build_tables()
+
+
+def _weighted_sum(f, a, b, c1, rows: np.ndarray, level: int) -> np.ndarray:
+    """sum_i w_i f(x_i) over one level's nodes, for each row in `rows`."""
+    d, w, right = _TABLES[level]
+    step = max(1, _BLOCK // len(d))
+    parts = []
+    for i in range(0, len(rows), step):
+        blk = rows[i:i + step]
+        lo, hi, cd = a[blk, None], b[blk, None], c1[blk, None] * d
+        pts = np.where(right, hi - cd, lo + cd)
+        # Clamp strictly inside (a, b): once c1*d is below one ulp the affine
+        # map rounds onto the endpoint, which endpoint-singular integrands
+        # cannot take.
+        pts = np.clip(pts, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        parts.append(np.sum(w * f(blk, pts), axis=1))
+    return np.concatenate(parts)
+
+
+def cabs(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise with the same bits as Python's abs() on each element;
+    numpy's vectorized complex absolute differs from it in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def ts_rows(f, a, b, tol, max_level: int = _MAX_LEVEL):
+    """Integrate row i over (a_i, b_i) to tolerance tol_i, all rows through
+    one level ladder.
+
+    f(rows, pts) gets the indices of the active rows and a 2-D array of their
+    nodes, one row each, and returns the integrand values in that shape.
+    Returns arrays (value, error_estimate, converged).
+    """
+    if max_level > _MAX_LEVEL:
+        raise ValueError(f"max_level {max_level} exceeds the node tables ({_MAX_LEVEL})")
+    a, b, tol = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b, tol))
+    a, b, tol = np.broadcast_arrays(a, b, tol)
+    if not len(a):
+        return a.copy(), a.copy(), np.zeros(0, dtype=bool)
+    c1 = 0.5 * (b - a)
+    rows = np.arange(len(a))
+    h = 0.5
+    total = _weighted_sum(f, a, b, c1, rows, 0)
+    value = c1 * h * total
+    diff = np.full(len(a), np.inf)
+    ok = np.zeros(len(a), dtype=bool)
+    for level in range(1, max_level + 1):
+        h *= 0.5
+        total[rows] += _weighted_sum(f, a, b, c1, rows, level)
+        cur = c1[rows] * h * total[rows]
+        dif = cabs(cur - value[rows])
+        rtol = tol[rows]
+        done = (dif <= rtol * (1.0 + cabs(cur))) | (dif <= rtol)
+        value[rows] = cur
+        diff[rows] = dif
+        ok[rows[done]] = True
+        rows = rows[~done]
+        if not len(rows):
+            break
+    return value, diff + 1e-16 * cabs(value), ok
 
 
 def _ts_run(f, a: float, b: float, tol: float, max_level: int):
-    """Shared level ladder; the grids nest, so each refinement only evaluates
-    the new odd-position nodes. Returns (value, error_estimate, converged)."""
-    c1 = 0.5 * (b - a)
-    h = 0.5
-    total = _weighted_sum(f, a, b, np.arange(-_T_MAX, _T_MAX + 0.5 * h, h))
-    prev = c1 * h * total
-    diff = float("inf")
-    for _ in range(max_level):
-        h *= 0.5
-        total += _weighted_sum(f, a, b, np.arange(-_T_MAX + h, _T_MAX, 2.0 * h))
-        cur = c1 * h * total
-        diff = abs(cur - prev)
-        if diff <= tol * (1.0 + abs(cur)) or diff <= tol:
-            return cur, diff + 1e-16 * abs(cur), True
-        prev = cur
-    return prev, diff + 1e-16 * abs(prev), False
+    """One row of the level ladder for a 1-D integrand f(x).
+    Returns (value, error_estimate, converged)."""
+    val, err, ok = ts_rows(lambda rows, pts: f(pts[0])[None, :], a, b, tol, max_level)
+    return val[0], err[0], bool(ok[0])
 
 
 def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 9):

@@ -75,6 +75,14 @@ class TestEval:
         assert rec["method"] == "quadrature"
         assert rec["value"]["re"] == pytest.approx(11.0, abs=1e-9)
 
+    def test_oracle_check_outside_torus_domain_warns(self, capsys):
+        # The torus oracle refuses r = 2, |k| < 4, s < -1/2; the closed form
+        # is still printed and the missing cross-check is a warning.
+        code, out, err = run_cli(capsys, "eval", "--r", "2", "--k", "3.9", "--s", "-0.9")
+        assert code == 0
+        assert "oracle cross-check unavailable" in err
+        assert json.loads(out)["value"]["re"] == pytest.approx(1.7526134596, rel=1e-9)
+
 
 class TestExitCodes:
     def test_pole_is_numerical(self, capsys):

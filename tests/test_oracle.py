@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from zmf.errors import DomainError
-from zmf.oracle import density_quadrature, monte_carlo, torus_quadrature
+from zmf.oracle import _t1, _t1_rows, density_quadrature, monte_carlo, torus_quadrature
 from zmf.types import QuadratureConfig, ZmfPoint
 from zmf.zmf import w, w1
 
@@ -49,6 +50,23 @@ class TestTorus:
     def test_rejects_large_r(self):
         with pytest.raises(DomainError):
             torus_quadrature(ZmfPoint(4, 1.0, 2.0), CFG)
+
+    def test_rejects_s_below_half_inside(self):
+        # The nest's inner edge diverges there; it returned 9.6e83 against
+        # 1.7526 from the closed form.
+        with pytest.raises(DomainError):
+            torus_quadrature(ZmfPoint(2, 3.9, -0.9), CFG)
+
+    @pytest.mark.parametrize("s", [0.7, -0.45, 1.5 + 2.0j])
+    def test_t1_rows_match_scalar(self, s):
+        # delta >= 0 with and without the near-double-root split, the edge
+        # floor on both sides, and delta < 0 with eps < 0.25 and eps >= 0.25.
+        delta = np.array([0.5, 0.1, 0.0, 1e-250, -1e-250, -0.01, -1.0])
+        tol = np.array([1e-10, 1e-8, 1e-10, 1e-9, 1e-10, 1e-12, 1e-10])
+        val, err = _t1_rows(delta, s, tol)
+        for i, d in enumerate(delta):
+            v, e = _t1(2.0 + d, s, tol[i], delta=d)
+            assert val[i] == v and err[i] == e
 
     def test_rejects_nonintegrable(self):
         with pytest.raises(DomainError):

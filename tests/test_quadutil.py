@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zmf.errors import ConvergenceError
-from zmf.quadutil import split_points, tanh_sinh, tanh_sinh_relaxed
+from zmf.quadutil import _ts_run, split_points, tanh_sinh, tanh_sinh_relaxed, ts_rows
 
 
 def test_smooth_integral():
@@ -59,3 +59,24 @@ def test_nonconvergent_raises_and_relaxed_returns():
 
 def test_split_points():
     assert split_points(0.0, 4.0, [3.0, 1.0, 5.0, 0.0]) == [0.0, 1.0, 3.0, 4.0]
+
+
+def test_rows_match_one_row_runs():
+    # Each row keeps its own interval, tolerance and stopping level.
+    funcs = (np.exp, lambda x: np.sin(1.0 / x), lambda x: 1.0 / np.sqrt(x - 2.0))
+    a = np.array([0.0, 0.0, 2.0])
+    b = np.array([1.0, 1.0, 3.0])
+    tol = np.array([1e-3, 1e-14, 1e-8])
+    levels = np.zeros(3, dtype=int)
+
+    def f(rows, pts):
+        levels[rows] += 1
+        return np.stack([funcs[i](x) for i, x in zip(rows, pts)])
+
+    val, err, ok = ts_rows(f, a, b, tol, max_level=6)
+    assert levels[0] in (2, 3)  # level 0 plus one or two refinements
+    assert levels[1] == 7  # the whole ladder
+    assert list(ok) == [True, False, True]
+    for i, fn in enumerate(funcs):
+        one = _ts_run(fn, a[i], b[i], tol[i], 6)
+        assert (val[i], err[i], bool(ok[i])) == one

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 import zmf.zmf as zmf_module
@@ -96,6 +97,27 @@ class TestHeavyClosedForms:
         assert res.abs_err < 1e-6
         # frozen from the r = 2 torus oracle at tol 1e-10
         assert res.value.real == pytest.approx(1.8379053649810637, abs=1e-8)
+
+    @pytest.mark.parametrize("k, n", [(1.0, 3), (2.0, 1)])
+    def test_w2_odd_matches_mpmath_limit(self, k, n):
+        # The s -> n limit of (F(k) + F(-k)) / (1 + e^{i pi s}), with F(+-k)
+        # the boundary values of (+-k)^s 3F2(16/k^2) from the upper half
+        # plane, taken at s = n + 1e-25 in 60 digits.
+        with mpmath.workdps(60):
+            kk = mpmath.mpf(k)
+            s = n + mpmath.mpf(10) ** -25
+            z = 16 / kk**2
+            tiny = mpmath.mpf(10) ** -40
+            phase = mpmath.exp(1j * mpmath.pi * s)
+
+            def family(zz):
+                return kk**s * mpmath.hyper([-s / 2, (1 - s) / 2, 0.5], [1, 1], zz)
+
+            ref = complex((family(mpmath.mpc(z, -tiny)) + phase * family(mpmath.mpc(z, tiny)))
+                          / (1 + phase))
+        res = w2_odd(k, n)
+        assert abs(res.value - ref) <= 1e-13 * abs(ref)
+        assert abs(res.value - ref) <= res.abs_err
 
     def test_w3_even_moment(self):
         assert w3(4.0, 2.0).value.real == pytest.approx(24.0, rel=1e-10)
