@@ -205,17 +205,6 @@ def jacobi_weight(alpha: float, beta: float, t) -> np.ndarray:
     ) ** (2.0 * beta + 1.0)
 
 
-def _phi_prime(alpha, beta, lam, t, h=1e-5) -> complex:
-    d1 = (jacobi_phi(alpha, beta, lam, t + h) - jacobi_phi(alpha, beta, lam, t - h)) / (
-        2.0 * h
-    )
-    d2 = (
-        jacobi_phi(alpha, beta, lam, t + h / 2)
-        - jacobi_phi(alpha, beta, lam, t - h / 2)
-    ) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def check_beauty(
     alpha: float, beta: float, lam: complex, mu: complex, x: float
 ) -> float:
@@ -236,15 +225,19 @@ def check_beauty(
         ) * jacobi_weight(alpha, beta, t)
 
     lhs, _ = tanh_sinh_relaxed(integrand, 0.0, x, 1e-11)
-    wron = _phi_prime(alpha, beta, lam, x) * jacobi_phi(alpha, beta, mu, x) - jacobi_phi(
+
+    def phi_prime(nu: complex) -> complex:
+        return _fd_derivative(lambda h: jacobi_phi(alpha, beta, nu, x + h), 1e-5)
+
+    wron = phi_prime(lam) * jacobi_phi(alpha, beta, mu, x) - jacobi_phi(
         alpha, beta, lam, x
-    ) * _phi_prime(alpha, beta, mu, x)
+    ) * phi_prime(mu)
     rhs = float(jacobi_weight(alpha, beta, x)) * wron / (mu * mu - lam * lam)
     return abs(lhs - rhs)
 
 
-def _fd_s_derivative(fn, h: float = 1e-4) -> complex:
-    """d fn/ds at s = 0 by Richardson-extrapolated central differences."""
+def _fd_derivative(fn, h: float = 1e-4) -> complex:
+    """d fn/dx at x = 0 by Richardson-extrapolated central differences."""
     d1 = (fn(h) - fn(-h)) / (2.0 * h)
     d2 = (fn(h / 2) - fn(-h / 2)) / h
     return (4.0 * d2 - d1) / 3.0
@@ -276,7 +269,7 @@ def mahler_w2_routes(k: float) -> dict:
 
     v, _ = tanh_sinh_relaxed(integrand, 0.0, 0.5 * math.pi, 1e-12)
     integral = k / (8.0 * math.pi) * float(v)
-    deriv = _fd_s_derivative(lambda h: w2(k, h).value).real
+    deriv = _fd_derivative(lambda h: w2(k, h).value).real
     return {"series": series, "integral": integral, "derivative": deriv}
 
 
@@ -307,7 +300,7 @@ def mahler_w3_routes(k: float) -> dict:
 
     v, _ = tanh_sinh_relaxed(outer, 0.0, 1.0, 1e-9)
     integral = k / (16.0 * math.pi**2) * v.real
-    deriv = _fd_s_derivative(lambda h: w3(k, h).value).real
+    deriv = _fd_derivative(lambda h: w3(k, h).value).real
     return {"meijer": closed, "integral": integral, "derivative": deriv}
 
 

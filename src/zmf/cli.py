@@ -334,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--one-sided", action="store_true")
-    add_output(p)
     p.set_defaults(func=_cmd_moment)
 
     p = sub.add_parser("zeros", help="critical-line zeros of W_1")
@@ -346,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mahler", help="Mahler measure by independent routes")
     p.add_argument("--r", type=int, choices=(2, 3), required=True)
     p.add_argument("--k", type=float, required=True)
-    add_output(p)
     p.set_defaults(func=_cmd_mahler)
 
     p = sub.add_parser("verify", help="run a verification suite")

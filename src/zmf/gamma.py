@@ -39,11 +39,13 @@ _LOG_PI = 1.1447298858494001741
 _POLE_TOL = 1e-12
 
 
-def _near_nonpositive_integer(z: complex) -> bool:
-    if abs(z.imag) > _POLE_TOL:
-        return False
+def nearest_int(z: complex, tol: float):
+    """The integer n with |Re z - n| <= tol and |Im z| <= tol, else None."""
+    z = complex(z)
+    if abs(z.imag) > tol:
+        return None
     n = round(z.real)
-    return n <= 0 and abs(z.real - n) <= _POLE_TOL
+    return n if abs(z.real - n) <= tol else None
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -67,7 +69,8 @@ def log_gamma(z: complex) -> complex:
     Raises PoleError within 1e-12 of the non-positive integers.
     """
     z = complex(z)
-    if _near_nonpositive_integer(z):
+    n = nearest_int(z, _POLE_TOL)
+    if n is not None and n <= 0:
         raise PoleError(f"log_gamma: z={z} is within {_POLE_TOL} of a pole")
     if z.real < 0.5:
         # Reflection: log Gamma(z) = log pi - log sin(pi z) - log Gamma(1-z).

@@ -28,7 +28,7 @@ from .errors import (
     NearDegenerateParameterError,
     PoleError,
 )
-from .gamma import log_gamma
+from .gamma import log_gamma, nearest_int
 from .types import EvalResult, Method
 
 _MAX_TERMS = 200_000
@@ -60,12 +60,8 @@ class SeriesSpec:
 
 def _as_nonpositive_int(x: complex):
     """Return m >= 0 when x is numerically the non-positive integer -m."""
-    if abs(x.imag) > _INT_TOL:
-        return None
-    n = round(x.real)
-    if n <= 0 and abs(x.real - n) <= _INT_TOL:
-        return -n
-    return None
+    n = nearest_int(x, _INT_TOL)
+    return -n if n is not None and n <= 0 else None
 
 
 def _termination_order(spec: SeriesSpec):
@@ -211,19 +207,6 @@ def family_spec(r: int, s: complex, w: complex) -> SeriesSpec:
     return SeriesSpec(upper, ((1.0 + 0.0j),) * r, w)
 
 
-def _is_family(spec: SeriesSpec):
-    """Recover (r, s) when spec has the family shape, else None."""
-    r = len(spec.lower)
-    if any(abs(b - 1.0) > 1e-12 for b in spec.lower):
-        return None
-    if any(abs(a - 0.5) > 1e-12 for a in spec.upper[2:]):
-        return None
-    s = -2.0 * spec.upper[0]
-    if abs(spec.upper[1] - (1.0 - s) / 2.0) > 1e-12:
-        return None
-    return r, s
-
-
 _DETOUR = 0.25
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
@@ -252,18 +235,10 @@ def _theta_poly(params) -> np.ndarray:
     return coeffs  # coeffs[m] multiplies theta^m
 
 
-def pfq_continued(spec: SeriesSpec, branch: ContinuationBranch) -> EvalResult:
-    """Analytic continuation of the family pFq to real argument w > 1 along a
-    path through the chosen half-plane (w < 1 is allowed and stays on the
-    real axis; both branches then agree)."""
-    fam = _is_family(spec)
-    if fam is None:
-        raise DomainError("pfq_continued supports only the family parameter shape")
-    r, s = fam
-    w = spec.argument
-    if abs(w.imag) > 1e-13:
-        raise DomainError("pfq_continued expects a real argument")
-    w = w.real
+def pfq_continued(r: int, s: complex, w: float, branch: ContinuationBranch) -> EvalResult:
+    """Analytic continuation of the family pFq ``family_spec(r, s, w)`` to
+    real argument w > 1 along a path through the chosen half-plane (w < 1 is
+    allowed and stays on the real axis; both branches then agree)."""
     if w <= 0:
         raise DomainError("pfq_continued expects argument > 0")
     if abs(s.imag) < 1e-9 and s.real > 0:
@@ -272,6 +247,7 @@ def pfq_continued(spec: SeriesSpec, branch: ContinuationBranch) -> EvalResult:
             raise NearDegenerateParameterError(
                 "s within 1e-6 of an odd positive integer; use the limit formulas"
             )
+    spec = family_spec(r, s, w)
     m_stop = _termination_order(spec)
     if m_stop is not None:
         val = _partial_sum(spec, m_stop + 1)
@@ -281,9 +257,7 @@ def pfq_continued(spec: SeriesSpec, branch: ContinuationBranch) -> EvalResult:
 
     z0 = 0.5 + 0.0j
     order = r  # ODE order is r+1; carry theta^0..theta^r
-    y0 = np.array(
-        _series_theta_derivatives(SeriesSpec(spec.upper, spec.lower, z0), order)
-    )
+    y0 = np.array(_series_theta_derivatives(family_spec(r, s, z0), order))
     if w < 1.0 - _DETOUR / 4.0:
         path = [z0, complex(w)]
     else:

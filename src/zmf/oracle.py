@@ -79,38 +79,22 @@ def _t1_base(shift, sign, u: np.ndarray) -> np.ndarray:
     return 4.0 * np.sin(shift + sign * (0.5 * u)) * sh
 
 
-def _t1(k: float, s: complex, tol: float, delta: float | None = None):
-    """(1/pi) int_0^pi |k + 2 cos t|^s dt.
-
-    Every (near-)singular point is mapped to the origin of a local variable
-    u before quadrature.  Floats are dense near 0 but quantized at ~1e-16
-    near an interior point or a right endpoint, so integrating |t - t0|^sigma
-    in the t variable silently loses the mass within one ulp of t0 (as much
-    as 1e-3 of the integral for sigma near -1); in the u variable that mass
-    is resolved down to 1e-300.  The base |k + 2 cos t| is likewise evaluated
-    in cancellation-free product or shifted form.
-    """
-    k = abs(float(k))
-    # Signed distance to the |k| = 2 boundary; a caller that produced k by
-    # division may supply it exactly, which matters when |k - 2| is below
-    # the rounding of k itself.
-    d0 = (k - 2.0) if delta is None else float(delta)
-    _, a, b, shift, sign = _t1_jobs(np.array([d0]))
-    total = 0.0 + 0.0j
-    err = 0.0
-    for j in range(len(a)):
-        v, e = tanh_sinh_relaxed(
-            lambda u, j=j: _abs_pow(_t1_base(shift[j], sign[j], u), s),
-            float(a[j]), float(b[j]), tol / len(a),
-        )
-        total += v
-        err += e
-    return total / math.pi, err / math.pi
-
-
 def _t1_rows(delta: np.ndarray, s: complex, tol: np.ndarray):
-    """``_t1(., s, tol_i, delta=delta_i)`` for every row, with all pieces of
-    all rows in one batched level ladder; returns arrays (value, error)."""
+    """T_1(k_i; s) = (1/pi) int_0^pi |k_i + 2 cos t|^s dt to tolerance tol_i
+    for every row, given the signed distance delta_i = |k_i| - 2, with all
+    pieces of all rows in one batched level ladder; returns arrays
+    (value, error).
+
+    The distance is taken exactly, not as k: a caller that produced k by
+    division knows |k - 2| below the rounding of k itself.  Every
+    (near-)singular point is mapped to the origin of a local variable u
+    before quadrature (``_t1_jobs``).  Floats are dense near 0 but quantized
+    at ~1e-16 near an interior point or a right endpoint, so integrating
+    |t - t0|^sigma in the t variable silently loses the mass within one ulp
+    of t0 (as much as 1e-3 of the integral for sigma near -1); in the u
+    variable that mass is resolved down to 1e-300.  The base |k + 2 cos t|
+    is likewise evaluated in cancellation-free product or shifted form.
+    """
     row, a, b, shift, sign = _t1_jobs(delta)
     plain = sign == 0.0
 
@@ -128,10 +112,16 @@ def _t1_rows(delta: np.ndarray, s: complex, tol: np.ndarray):
     total = np.zeros(len(delta), dtype=complex)
     errs = np.zeros(len(delta))
     # add.at accumulates in index order, so each row sums its pieces in the
-    # order _t1 does.
+    # order _t1_jobs lists them.
     np.add.at(total, row, val)
     np.add.at(errs, row, err)
     return total / math.pi, errs / math.pi
+
+
+def _t1(k: float, s: complex, tol: float):
+    """T_1(k; s) as the one-row call of ``_t1_rows``; returns (value, error)."""
+    v, e = _t1_rows(np.array([abs(float(k)) - 2.0]), s, np.array([tol]))
+    return v[0], e[0]
 
 
 def _outer_segments(pts: list) -> list:

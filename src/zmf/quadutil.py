@@ -23,7 +23,9 @@ rows still active.  Each row stops at its own level by the scalar rule:
 the successive difference falls below tol_i * (1 + |value|) or below
 tol_i.  A row that exhausts max_level keeps its last refinement and is
 flagged unconverged.  ``_ts_run`` is the one-row call and gives the same
-bits as a row of a batch.
+bits as a row of a batch; ``tanh_sinh_relaxed`` is ``_ts_run`` without the
+converged flag.  Nothing here raises on non-convergence: callers that need
+convergence read the flag.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import ConvergenceError
 
 # For an endpoint singularity |x-a|^sigma the transformed tail decays like
 # exp(-(1+sigma) pi/2 sinh t), so the window must be wide enough for the
@@ -138,23 +138,9 @@ def _ts_run(f, a: float, b: float, tol: float, max_level: int):
     return val[0], err[0], bool(ok[0])
 
 
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 9):
-    """Integrate a vectorized callable over (a, b).
-
-    Returns (value, error_estimate); raises ConvergenceError when the level
-    budget is exhausted without the successive-refinement check passing.
-    """
-    val, err, ok = _ts_run(f, a, b, tol, max_level)
-    if not ok:
-        raise ConvergenceError(
-            f"tanh_sinh: no convergence to tol={tol} within {max_level} levels"
-        )
-    return val, err
-
-
 def tanh_sinh_relaxed(f, a: float, b: float, tol: float, max_level: int = 9):
-    """Like tanh_sinh but never raises: returns the last refinement with an
-    honest (possibly large) error estimate."""
+    """``_ts_run`` without the flag: the last refinement with an honest
+    (possibly large) error estimate, whether or not it converged."""
     val, err, _ = _ts_run(f, a, b, tol, max_level)
     return val, err
 

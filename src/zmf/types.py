@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
+
+from .errors import DomainError
+
+# Half-width of the band |k| = 2^r treated as the regime boundary.
+BOUNDARY_TOL = 1e-12
 
 
 class Method(str, enum.Enum):
@@ -42,17 +49,17 @@ class ZmfPoint:
     k: float
     s: complex
 
-    _BOUNDARY_TOL = 1e-12
-
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("r must be a positive integer")
+        if not (math.isfinite(self.k) and cmath.isfinite(self.s)):
+            raise DomainError(f"k and s must be finite, got k={self.k}, s={self.s}")
 
     @property
     def regime(self) -> Regime:
         edge = float(2**self.r)
         ak = abs(self.k)
-        if abs(ak - edge) <= self._BOUNDARY_TOL:
+        if abs(ak - edge) <= BOUNDARY_TOL:
             return Regime.BOUNDARY
         return Regime.LIGHT if ak > edge else Regime.HEAVY
 
@@ -66,7 +73,7 @@ class QuadratureConfig:
     samples: int = 1_000_000
 
     def __post_init__(self):
-        if self.tol < 1e-14:
+        if not self.tol >= 1e-14:
             raise ValueError("tol must be >= 1e-14")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")

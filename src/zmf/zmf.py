@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NearDegenerateParameterError, PoleError
-from .gamma import cpow, log_gamma
+from .gamma import cpow, log_gamma, nearest_int
 from .hyper import (
     ContinuationBranch,
     SeriesSpec,
@@ -33,7 +33,7 @@ from .hyper import (
     pfq_continued,
 )
 from .meijer import meijer_mb, w2_g_spec, w3_g_spec
-from .types import EvalResult, Method, ZmfPoint
+from .types import BOUNDARY_TOL, EvalResult, Method, ZmfPoint
 
 # Frozen calibration: continuing the family series to w = 4^r/k^2 > 1 through
 # the lower half w-plane reproduces the torus integral (the boundary value
@@ -42,29 +42,13 @@ from .types import EvalResult, Method, ZmfPoint
 CONTINUATION_BRANCH = ContinuationBranch.FROM_BELOW
 
 _ODD_TOL = 1e-6
-_BOUNDARY_TOL = 1e-12
 _ODD_LIMIT_DELTAS = (1e-2, 5e-3, 2.5e-3)
 
 
-def _near_odd_positive(s: complex, tol: float = _ODD_TOL):
-    """Return the odd positive integer s is within tol of, else None."""
-    s = complex(s)
-    if abs(s.imag) > tol:
-        return None
-    n = round(s.real)
-    if n >= 1 and n % 2 == 1 and abs(s.real - n) <= tol:
-        return n
-    return None
-
-
-def _near_negative_integer(s: complex, tol: float = _BOUNDARY_TOL):
-    s = complex(s)
-    if abs(s.imag) > tol:
-        return None
-    n = round(s.real)
-    if n <= -1 and abs(s.real - n) <= tol:
-        return n
-    return None
+def _near_odd_positive(s: complex):
+    """Return the odd positive integer s is within 1e-6 of, else None."""
+    n = nearest_int(s, _ODD_TOL)
+    return n if n is not None and n >= 1 and n % 2 == 1 else None
 
 
 def _tan_half_pi(s: complex) -> complex:
@@ -75,11 +59,11 @@ def w1(k: float, s: complex) -> EvalResult:
     """W_1(k;s) by the three-case closed form (|k| vs 2)."""
     k = abs(float(k))
     s = complex(s)
-    if k > 2.0 + _BOUNDARY_TOL:
+    if k > 2.0 + BOUNDARY_TOL:
         f = pfq(SeriesSpec((-s / 2, (1 - s) / 2), (1.0,), 4.0 / (k * k)))
         val = cpow(k, s) * f.value
         return EvalResult(val, abs(cpow(k, s)) * f.abs_err, Method.CLOSED_FORM)
-    if abs(k - 2.0) <= _BOUNDARY_TOL:
+    if abs(k - 2.0) <= BOUNDARY_TOL:
         if s.real <= -0.5:
             raise DomainError("W_1 at |k| = 2 requires Re(s) > -1/2")
         val = cmath.exp(
@@ -90,8 +74,8 @@ def w1(k: float, s: complex) -> EvalResult:
         )
         return EvalResult(val, 1e-14 * (1.0 + abs(val)), Method.CLOSED_FORM)
     # |k| < 2: prefactor 4^s Gamma((1+s)/2)^2 / (pi Gamma(1+s)) in log space.
-    n = _near_negative_integer(s)
-    if n is not None:
+    n = nearest_int(s, BOUNDARY_TOL)
+    if n is not None and n <= -1:
         if n % 2 != 0:
             # Double pole of Gamma((1+s)/2)^2 against a single pole of
             # Gamma(1+s): a genuine pole of W_1.
@@ -115,9 +99,9 @@ def w_light(r: int, k: float, s: complex) -> EvalResult:
     k = abs(float(k))
     s = complex(s)
     edge = 2.0**r
-    if k < edge - _BOUNDARY_TOL:
+    if k < edge - BOUNDARY_TOL:
         raise DomainError("w_light requires |k| >= 2^r")
-    if abs(k - edge) <= _BOUNDARY_TOL:
+    if abs(k - edge) <= BOUNDARY_TOL:
         if s.real <= -r / 2.0:
             raise DomainError("boundary |k| = 2^r requires Re(s) > -r/2")
         f = pfq(family_spec(r, s, 1.0))
@@ -143,7 +127,7 @@ def w_real_s(r: int, k: float, s: float) -> EvalResult:
         raise NearDegenerateParameterError(
             "s within 1e-6 of an odd integer; use the limit formulas"
         )
-    f = pfq_continued(family_spec(r, s, 4.0**r / (k * k)), CONTINUATION_BRANCH)
+    f = pfq_continued(r, s, 4.0**r / (k * k), CONTINUATION_BRANCH)
     t = math.tan(0.5 * math.pi * s)
     val = k**s * (f.value.real + t * f.value.imag)
     err = k**s * (1.0 + abs(t)) * f.abs_err
@@ -297,16 +281,16 @@ def f_rs(r: int, s: complex, z: complex) -> EvalResult:
     edge = 2.0**r
     if z == 0:
         raise DomainError("F_{r,s} is singular at z = 0")
-    if abs(z) > edge + _BOUNDARY_TOL:
+    if abs(z) > edge + BOUNDARY_TOL:
         f = pfq(family_spec(r, s, 4.0**r / (z * z)))
         scale = cpow(z, s)
         return EvalResult(scale * f.value, abs(scale) * f.abs_err, Method.CLOSED_FORM)
-    if abs(z.imag) > _BOUNDARY_TOL:
+    if abs(z.imag) > BOUNDARY_TOL:
         raise DomainError(
             "F_{r,s} inside the disk |z| <= 2^r is only supported for real z"
         )
     x = z.real
-    if abs(abs(x) - edge) <= _BOUNDARY_TOL:
+    if abs(abs(x) - edge) <= BOUNDARY_TOL:
         if s.real <= -r / 2.0:
             raise DomainError("F_{r,s} at |z| = 2^r requires Re(s) > -r/2")
         f = pfq(family_spec(r, s, 1.0))
@@ -317,7 +301,7 @@ def f_rs(r: int, s: complex, z: complex) -> EvalResult:
         branch = CONTINUATION_BRANCH
         if x < 0:
             (branch,) = set(ContinuationBranch) - {CONTINUATION_BRANCH}
-        f = pfq_continued(family_spec(r, s, 4.0**r / (x * x)), branch)
+        f = pfq_continued(r, s, 4.0**r / (x * x), branch)
     scale = cpow(complex(x), s)  # principal branch: e^{i pi s} |x|^s for x < 0
     return EvalResult(scale * f.value, abs(scale) * f.abs_err, f.method)
 
@@ -420,7 +404,7 @@ def w(r: int, k: float, s: complex, method: str | None = None) -> EvalResult:
     k = abs(float(k))
     s = complex(s)
     edge = 2.0**r
-    if k >= edge - _BOUNDARY_TOL:
+    if k >= edge - BOUNDARY_TOL:
         return w_light(r, k, s)
     if k == 0.0:
         return _w_zero(r, s)
@@ -437,7 +421,7 @@ def w(r: int, k: float, s: complex, method: str | None = None) -> EvalResult:
             return lim
         return w3(k, s)
     if r == 4:
-        if abs(s.imag) <= _BOUNDARY_TOL and s.real > 0:
+        if abs(s.imag) <= BOUNDARY_TOL and s.real > 0:
             return w_real_s(r, k, s.real)
         raise DomainError(
             "heavy regime at r = 4 is supported for real s > 0 only"

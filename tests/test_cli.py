@@ -105,6 +105,13 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "eval", "--r", "1", "--nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("k, s", [("nan", "1"), ("1", "nan"), ("inf", "1")])
+    def test_non_finite_point_is_validation(self, capsys, k, s):
+        # k = nan used to exit 3 after summing 200,000 NaN terms.
+        code, _, err = run_cli(capsys, "eval", "--r", "1", "--k", k, "--s", s)
+        assert code == 2
+        assert "k and s must be finite" in err
+
     def test_edge_singularity_is_numerical(self, capsys):
         code, _, _ = run_cli(capsys, "density", "--r", "1", "--x", "2.0")
         assert code == 3
@@ -144,6 +151,20 @@ class TestOtherCommands:
         rec = json.loads(out)
         assert rec["value"] == pytest.approx(0.511424067053, abs=1e-8)
         assert rec["route_spread"] < 1e-6
+
+    @pytest.mark.parametrize("argv, keys", [
+        (("moment", "--r", "2", "--v", "4"), {"r", "v", "two_sided", "value"}),
+        (("mahler", "--r", "2", "--k", "2"), {"r", "k", "value", "route_spread", "routes"}),
+    ])
+    def test_json_only_commands_take_no_output_option(self, capsys, argv, keys):
+        # Both commands only ever wrote JSON; the --output they accepted was
+        # never read.
+        assert run_cli(capsys, *argv, "--output", "csv")[0] == 2
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rec = json.loads(out)
+        assert set(rec) == keys
+        assert out == json.dumps(rec, indent=2) + "\n"
 
     def test_oracle_mc_deterministic(self, capsys):
         args = ("oracle", "--r", "2", "--k", "1", "--s", "1",

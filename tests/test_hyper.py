@@ -85,24 +85,23 @@ def test_family_spec_structure():
 def test_continuation_matches_series_inside_disk():
     # continue to a point still inside |z| < 1 and compare with plain summation
     s = 1.3
-    spec = family_spec(2, s, 0.8)
-    direct = pfq(spec).value
-    cont = pfq_continued(spec, ContinuationBranch.FROM_BELOW).value
+    direct = pfq(family_spec(2, s, 0.8)).value
+    cont = pfq_continued(2, s, 0.8, ContinuationBranch.FROM_BELOW).value
     assert cont == pytest.approx(direct, rel=1e-9)
 
 
 def test_continuation_branches_conjugate():
     # beyond the unit disk the two branch choices are complex conjugates
     s = 0.7
-    up = pfq_continued(family_spec(1, s, 2.5), ContinuationBranch.FROM_ABOVE).value
-    dn = pfq_continued(family_spec(1, s, 2.5), ContinuationBranch.FROM_BELOW).value
+    up = pfq_continued(1, s, 2.5, ContinuationBranch.FROM_ABOVE).value
+    dn = pfq_continued(1, s, 2.5, ContinuationBranch.FROM_BELOW).value
     assert up == pytest.approx(dn.conjugate(), rel=1e-9)
 
 
 def test_continuation_against_2f1_continuation():
     # r = 1 family is a Gauss 2F1; scipy continues it for real argument > 1
     s = 0.9
-    got = pfq_continued(family_spec(1, s, 1.8), ContinuationBranch.FROM_BELOW).value
+    got = pfq_continued(1, s, 1.8, ContinuationBranch.FROM_BELOW).value
     a, b = -s / 2.0, (1.0 - s) / 2.0
     want = complex(mpmath.hyp2f1(a, b, 1.0, mpmath.mpc(1.8, -1e-20)))
     assert got == pytest.approx(want, rel=1e-8)

@@ -60,13 +60,16 @@ class TestTorus:
     @pytest.mark.parametrize("s", [0.7, -0.45, 1.5 + 2.0j])
     def test_t1_rows_match_scalar(self, s):
         # delta >= 0 with and without the near-double-root split, the edge
-        # floor on both sides, and delta < 0 with eps < 0.25 and eps >= 0.25.
+        # floor on both sides, and delta < 0 with eps < 0.25 and eps >= 0.25;
+        # a row of the batch equals the same row run alone.
         delta = np.array([0.5, 0.1, 0.0, 1e-250, -1e-250, -0.01, -1.0])
         tol = np.array([1e-10, 1e-8, 1e-10, 1e-9, 1e-10, 1e-12, 1e-10])
         val, err = _t1_rows(delta, s, tol)
-        for i, d in enumerate(delta):
-            v, e = _t1(2.0 + d, s, tol[i], delta=d)
-            assert val[i] == v and err[i] == e
+        for i in range(len(delta)):
+            v, e = _t1_rows(delta[i:i + 1], s, tol[i:i + 1])
+            assert val[i] == v[0] and err[i] == e[0]
+        v, e = _t1(2.5, s, 1e-10)
+        assert v == val[0] and e == err[0]
 
     def test_rejects_nonintegrable(self):
         with pytest.raises(DomainError):

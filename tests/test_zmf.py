@@ -7,6 +7,7 @@ import pytest
 import zmf.zmf as zmf_module
 from zmf.errors import DomainError, PoleError
 from zmf.meijer import meijer_triple_integral
+from zmf.types import QuadratureConfig
 from zmf.zmf import (
     boundary_derivative_check,
     f_rs,
@@ -201,3 +202,20 @@ class TestDispatcher:
     def test_r4_real_s(self):
         # E(8 + prod)^2 = 64 + 2^4
         assert w(4, 8.0, 2.0).value.real == pytest.approx(80.0, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "k, s", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, complex(1.0, math.inf))]
+    )
+    @pytest.mark.parametrize("method", [None, "quadrature", "monte-carlo"])
+    def test_non_finite_point_rejected(self, k, s, method):
+        # k = nan summed 200,000 NaN terms and raised ConvergenceError; s = nan
+        # and k = inf failed with unrelated ValueErrors.
+        with pytest.raises(DomainError, match="finite"):
+            w(1, k, s, method=method)
+
+
+class TestTypes:
+    @pytest.mark.parametrize("tol", [math.nan, 1e-15])
+    def test_quadrature_tol_checked(self, tol):
+        with pytest.raises(ValueError):
+            QuadratureConfig(tol=tol)
