@@ -23,7 +23,7 @@ from .gamma import cpow
 from .hyper import SeriesSpec, pfq
 from .meijer import elliptic_2k, meijer_mb, w3_g_spec
 from .types import EvalResult, Method
-from .quadutil import tanh_sinh_relaxed, ts_rows
+from .quadutil import _ts_run, tanh_sinh_relaxed, ts_rows
 from .zmf import w1, w2, w3
 
 
@@ -283,7 +283,14 @@ def mahler_w2(k: float) -> EvalResult:
 def mahler_w3_routes(k: float) -> dict:
     """The r = 3 Mahler measure: Meijer-G closed form, triple-integral form
     (inner coordinate reduced to a complete elliptic integral), and d/ds of
-    the moment function at 0."""
+    the moment function at 0.
+
+    The triple integral runs in x3 = u^2 and x2 = sin^2 theta, which absorb
+    the weights 1/sqrt(x3) and 1/sqrt(x2 (1 - x2)) and leave
+    4 int_0^1 du int_0^{pi/2} dtheta 2 K(1 - c u^2 sin^2 theta), c = k^2/64,
+    whose only singularities are logarithmic, at u = 0 and theta = 0.  Raises
+    ConvergenceError when an integral misses its tolerance.
+    """
     k = abs(float(k))
     if not 0.0 < k < 8.0:
         raise DomainError("requires 0 < |k| < 8")
@@ -291,15 +298,19 @@ def mahler_w3_routes(k: float) -> dict:
     closed = g / (2.0 * math.pi**2.5)
     c64 = k * k / 64.0
 
-    def outer(x3: np.ndarray) -> np.ndarray:
-        def inner(rows: np.ndarray, x2: np.ndarray) -> np.ndarray:
-            return elliptic_2k(c64, x2, x3[rows, None]) / np.sqrt(x2 * (1.0 - x2))
+    def outer(u: np.ndarray) -> np.ndarray:
+        def inner(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+            return elliptic_2k(c64, u[rows, None], np.sin(theta))
 
-        v, _, _ = ts_rows(inner, np.zeros(len(x3)), 1.0, 1e-10)
-        return 1.0 / np.sqrt(x3) * v
+        v, _, ok = ts_rows(inner, np.zeros(len(u)), 0.5 * math.pi, 1e-12)
+        if not ok.all():
+            raise ConvergenceError("mahler_w3_routes: an inner integral missed 1e-12")
+        return v
 
-    v, _ = tanh_sinh_relaxed(outer, 0.0, 1.0, 1e-9)
-    integral = k / (16.0 * math.pi**2) * v.real
+    v, _, ok = _ts_run(outer, 0.0, 1.0, 1e-11, 9)
+    if not ok:
+        raise ConvergenceError("mahler_w3_routes: the outer integral missed 1e-11")
+    integral = k / (4.0 * math.pi**2) * v.real
     deriv = _fd_derivative(lambda h: w3(k, h).value).real
     return {"meijer": closed, "integral": integral, "derivative": deriv}
 

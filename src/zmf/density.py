@@ -5,6 +5,11 @@ nested singularity-aware quadrature.  Conventions: p_hat_r is the density of
 the signed product (support [-2^r, 2^r]); p_r(k;.) is the folded density of
 the absolute value (support [0, |k| + 2^r]).  The two are linked through
 p_hat_r(x) = G_r(1 - x^2 / 4^r).
+
+G_r diverges logarithmically at y = 1 (x = 0) for r >= 2, so G is taken at y
+together with its distance om = 1 - y, formed exactly by the caller: a
+rounded 1 - om is off by up to an ulp of 1, which near the divergence is a
+relative error of eps / om in the distance.
 """
 
 from __future__ import annotations
@@ -13,59 +18,187 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import hyp2f1
+from scipy.special import ellipk, ellipkm1, hyp2f1
 
-from .errors import DomainError, EdgeSingularityError
+from .errors import ConvergenceError, DomainError, EdgeSingularityError
 from .gamma import log_gamma
 from .types import EvalResult, Method
-from .quadutil import tanh_sinh_relaxed
+from .quadutil import tanh_sinh_relaxed, ts_rows
 
 _TWO_PI = 2.0 * math.pi
 _EDGE_TOL = 1e-14
+# The smallest normal float.  A distance om below it has underflowed
+# (|x| / 2^r < 1.5e-154) and is raised to it: G stays finite there, and the
+# mass that the floor misses is below 1e-150.
+_OM_FLOOR = np.finfo(float).tiny
 
 
-def _hyp2f1_safe(a: float, b: float, c: float, y: np.ndarray) -> np.ndarray:
-    """scipy hyp2f1 with an mpmath fallback in the last ~1e-13 before y = 1,
-    where the scipy implementation overflows on these parameter triples."""
-    out = hyp2f1(a, b, c, y)
-    bad = ~np.isfinite(out) & (y < 1.0)
-    if np.any(bad):
-        import mpmath
+def _g_closed(r: int, y: np.ndarray, om: np.ndarray) -> np.ndarray:
+    """Closed-form G_r(y), r <= 3, on arrays y in (0, 1] with om = 1 - y.
 
-        out[bad] = [float(mpmath.hyp2f1(a, b, c, yv)) for yv in np.atleast_1d(y[bad])]
+    G_2(y) = K(y) / (2 pi^2) and G_3(y) = (K(1 - q)^2 - K(q)^2) / (4 pi^3)
+    with q = (1 - sqrt y) / 2 = om / (2 (1 + sqrt y)), K the complete
+    elliptic integral of parameter m.  ``ellipkm1`` takes 1 - m, so the
+    divergence at y = 1 is read off om.  Below y = 1/2 the elliptic
+    difference for G_3 cancels, and its 2F1 product is used instead.
+    """
+    if r == 1:
+        return 1.0 / (_TWO_PI * np.sqrt(y))
+    if r == 2:
+        return ellipkm1(om) / (2.0 * math.pi**2)
+    out = np.empty(np.shape(y))
+    near = om <= 0.5
+    q = om[near] / (2.0 * (1.0 + np.sqrt(y[near])))
+    out[near] = (ellipkm1(q) ** 2 - ellipk(q) ** 2) / (4.0 * math.pi**3)
+    yf = y[~near]
+    out[~near] = (
+        np.sqrt(yf)
+        / (4.0 * math.pi**2)
+        * hyp2f1(0.25, 0.25, 0.5, yf)
+        * hyp2f1(0.75, 0.75, 1.5, yf)
+    )
     return out
 
 
 def _g_closed_arr(r: int, y: np.ndarray) -> np.ndarray:
     """Closed-form G_r on arrays, r <= 3; zero outside (0, 1]."""
+    if r not in (1, 2, 3):
+        raise DomainError("closed-form G_r only for r <= 3")
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
     inside = (y > 0.0) & (y <= 1.0)
-    yi = y[inside]
-    if r >= 2:
-        # Quadrature nodes can round onto the singular point exactly; nudge
-        # inside so the (finite-weight) node gets a large finite value.
-        yi = np.where(yi == 1.0, 1.0 - 1e-16, yi)
-    if r == 1:
-        out[inside] = 1.0 / (_TWO_PI * np.sqrt(yi))
-    elif r == 2:
-        out[inside] = _hyp2f1_safe(0.5, 0.5, 1.0, yi) / (4.0 * math.pi)
-    elif r == 3:
-        out[inside] = (
-            np.sqrt(yi)
-            / (4.0 * math.pi**2)
-            * _hyp2f1_safe(0.25, 0.25, 0.5, yi)
-            * _hyp2f1_safe(0.75, 0.75, 1.5, yi)
-        )
-    else:
-        raise DomainError("closed-form G_r only for r <= 3")
+    out[inside] = _g_closed(r, y[inside], 1.0 - y[inside])
     return out
 
 
+def _g_recursion_impl(r: int, y: np.ndarray, om: np.ndarray, tol: float, base: int):
+    """G_r on arrays y with om = 1 - y exact, by the integral recursion
+    G_r(y) = (sqrt y / 2 pi) int_0^1 G_{r-1}(y v) dv / sqrt((1 - v)(1 - y v)),
+    with the closed forms at and below r = `base`; returns arrays
+    (value, error, converged).
+
+    (0, 1) is split at 1/2 and the upper half is integrated in u = 1 - v:
+    there the radicand is u ((1 - y) + y u) and the inner argument y (1 - u)
+    has the exact distance (1 - y) + y u to the divergence at 1, so every
+    singular point sits at the left end a = 0 of a piece.  Both halves of
+    every y are rows of one ladder, and the inner G_{r-1} of all nodes of a
+    level is one call.  G_1(y v) is formed as 1 / (2 pi sqrt(y) sqrt(v)), so
+    y v never underflows.  The inner values' errors, unconverged rows
+    included, enter through their largest value E per y: they move G_r(y) by
+    at most (E / 2 pi) int_0^1 sqrt(y) dv / sqrt((1 - v)(1 - y v))
+    = (E / 2 pi) log((1 + sqrt y)^2 / (1 - y)).
+    """
+    if r <= base:
+        return _g_closed(r, y, om), np.zeros(len(y)), np.ones(len(y), dtype=bool)
+    n = len(y)
+    sy = np.sqrt(y)
+    inner_err = np.zeros(n)
+
+    def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        i = rows % n
+        up = (rows >= n)[:, None]
+        yy = y[i, None]
+        om_in = np.where(up, om[i, None] + yy * x, 1.0 - yy * x)
+        if r == 2:
+            g = 1.0 / (_TWO_PI * np.where(up, np.sqrt(yy * (1.0 - x)), sy[i, None] * np.sqrt(x)))
+        else:
+            y_in = np.where(up, yy * (1.0 - x), yy * x)
+            g, e, _ = _g_recursion_impl(r - 1, y_in.ravel(), om_in.ravel(), tol / 2.0, base)
+            g = g.reshape(x.shape)
+            if r - 1 > base:
+                np.maximum.at(inner_err, i, e.reshape(x.shape).max(axis=1))
+        # Two roots, not one: u * om_in underflows where both are tiny.
+        return g / (np.sqrt(np.where(up, x, 1.0 - x)) * np.sqrt(om_in))
+
+    val, err, ok = ts_rows(f, np.zeros(2 * n), 0.5, tol / 2.0)
+    scale = sy / _TWO_PI
+    spread = (2.0 * np.log1p(sy) - np.log(om)) / _TWO_PI
+    return (
+        scale * (val[:n] + val[n:]),
+        scale * (err[:n] + err[n:]) + inner_err * spread,
+        ok[:n] & ok[n:],
+    )
+
+
+def g_recursion(r: int, y: float, tol: float = 1e-10) -> EvalResult:
+    """G_r(y) for 0 < y < 1 via the recursion with base case G_1.
+
+    r > 6 is rejected (cost guard); r >= 4 bases the recursion on the
+    closed-form G_3 to keep the nesting depth bounded.  Raises
+    ConvergenceError when the outer integral misses tol.
+    """
+    if r < 2:
+        raise DomainError("g_recursion requires r >= 2")
+    if r > 6:
+        raise DomainError("g_recursion depth capped at r = 6")
+    if not 0.0 < y < 1.0:
+        raise DomainError("g_recursion requires 0 < y < 1")
+    base = 1 if r <= 3 else 3
+    y = float(y)
+    val, err, ok = _g_recursion_impl(r, np.array([y]), np.array([1.0 - y]), tol, base)
+    if not ok[0]:
+        raise ConvergenceError(f"G_{r}({y}): the recursion missed tol {tol:.1e}")
+    return EvalResult(complex(val[0]), float(err[0]), Method.QUADRATURE)
+
+
+# Pole expansion of G_4 at y = 1, from the Laurent data of the Mellin
+# transform at its order-4 pole s = -1:
+# G_4(1 - u) = sum_j a_j log(1/u)^j / j! + O(u log^3 u).  Coefficients from
+# the Taylor series of (Gamma(1+e) Gamma(1/2) / (2 pi Gamma(1/2+e)))^4
+# (40-digit arithmetic).  Below _H4_CROSS it matches the recursion to 4e-16
+# relative; at u = 1e-6 it is 2.4e-8 off.
+_H4_SMALL = (
+    0.00099371738860178228,
+    0.0056429282450903163,
+    0.0035579183277564387,
+    0.00064162389091777095,
+)
+_H4_CROSS = 1e-14
+# Tolerance of the r >= 4 recursion behind the densities.
+_DENSITY_TOL = 1e-12
+
+
+def _p_hat_parts(r: int, at: np.ndarray, de: np.ndarray):
+    """p_hat_r at |x| = at, given also the distance de = 2^r - at to the
+    edge; with both exact, neither singular point is formed by cancellation.
+    Takes and returns 1-D arrays (value, error, converged): closed forms for
+    r <= 3, the recursion on G_3 above, and for r = 4 the pole expansion
+    near x = 0."""
+    edge = 2.0**r
+    y = de * (edge + at) / (edge * edge)
+    om = np.maximum((at / edge) ** 2, _OM_FLOOR)
+    if r <= 3:
+        return _g_closed(r, y, om), np.zeros(len(y)), np.ones(len(y), dtype=bool)
+    small = om < _H4_CROSS if r == 4 else np.zeros(len(y), dtype=bool)
+    val, err, ok = np.empty(len(y)), np.zeros(len(y)), np.ones(len(y), dtype=bool)
+    el = -np.log(om[small])
+    val[small] = sum(a * el**j / math.factorial(j) for j, a in enumerate(_H4_SMALL))
+    big = ~small
+    val[big], err[big], ok[big] = _g_recursion_impl(r, y[big], om[big], _DENSITY_TOL, 3)
+    return val, err, ok
+
+
 def _p_hat_arr(r: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized p_hat_r without singular-point policing (quadrature use)."""
-    x = np.asarray(x, dtype=float)
-    return _g_closed_arr(r, 1.0 - x**2 / 4.0**r)
+    """Vectorized p_hat_r, zero outside the support, without singular-point
+    policing; raises ConvergenceError where the r >= 4 recursion fails."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    edge = 2.0**r
+    out = np.zeros_like(ax)
+    inside = ax < edge
+    val, _, ok = _p_hat_parts(r, ax[inside], edge - ax[inside])
+    if not ok.all():
+        raise ConvergenceError(f"p_hat_{r}: the density recursion did not converge")
+    out[inside] = val
+    return out
+
+
+def _check_edge(r: int, z: float) -> None:
+    """Raise at the singular abscissae of p_hat_r: |z| = 2 for r = 1, z = 0
+    for r >= 2."""
+    if r == 1 and abs(abs(z) - 2.0) <= _EDGE_TOL:
+        raise EdgeSingularityError("p_hat_1 diverges at |x| = 2")
+    if r >= 2 and abs(z) <= _EDGE_TOL:
+        raise EdgeSingularityError(f"p_hat_{r} diverges at x = 0")
 
 
 def p_hat(r: int, x: float) -> float:
@@ -77,76 +210,12 @@ def p_hat(r: int, x: float) -> float:
     if r not in (1, 2, 3):
         raise DomainError("p_hat supports r in {1, 2, 3}")
     x = float(x)
-    if r == 1 and abs(abs(x) - 2.0) <= _EDGE_TOL:
-        raise EdgeSingularityError("p_hat_1 diverges at |x| = 2")
-    if r in (2, 3) and abs(x) <= _EDGE_TOL:
-        raise EdgeSingularityError(f"p_hat_{r} diverges at x = 0")
-    if abs(x) >= 2.0**r:
-        return 0.0
+    _check_edge(r, x)
     return float(_p_hat_arr(r, np.array([x]))[0])
 
 
-def _g_recursion_impl(r: int, y: float, tol: float, base_closed: int):
-    """G_r(y) by the integral recursion; returns (value, error).
-
-    Levels at or below `base_closed` use the closed form as base case.
-    """
-    if r <= base_closed:
-        return float(_g_closed_arr(min(r, 3), np.array([y]))[0]), 0.0
-
-    child_err = [0.0]
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if r - 1 <= base_closed:
-            g = _g_closed_arr(min(r - 1, 3), y * v)
-        else:
-            g = np.empty(len(v))
-            for i, vi in enumerate(v):
-                g[i], e = _g_recursion_impl(r - 1, y * vi, tol / 2.0, base_closed)
-                child_err[0] = max(child_err[0], e)
-        # Floor the radicand: nodes can round onto v = 1 where the weight is
-        # already negligible, and inf * tiny-weight would poison the sum.
-        return g / np.sqrt(np.maximum((1.0 - v) * (1.0 - y * v), 1e-300))
-
-    val, err = tanh_sinh_relaxed(integrand, 0.0, 1.0, tol)
-    scale = math.sqrt(y) / _TWO_PI
-    return scale * val.real, scale * (err + child_err[0])
-
-
-def g_recursion(r: int, y: float, tol: float = 1e-10) -> EvalResult:
-    """G_r(y) for 0 < y < 1 via the recursion with base case G_1.
-
-    r > 6 is rejected (cost guard); r >= 4 bases the recursion on the
-    closed-form G_3 to keep the nesting depth bounded.
-    """
-    if r < 2:
-        raise DomainError("g_recursion requires r >= 2")
-    if r > 6:
-        raise DomainError("g_recursion depth capped at r = 6")
-    if not 0.0 < y < 1.0:
-        raise DomainError("g_recursion requires 0 < y < 1")
-    base = 1 if r <= 3 else 3
-    val, err = _g_recursion_impl(r, float(y), tol, base)
-    return EvalResult(complex(val), err, Method.QUADRATURE)
-
-
-def _singular_abscissae(r: int, k: float) -> list:
-    """Candidate breakpoints of x -> p_r(k;x) inside (0, |k| + 2^r)."""
-    k = abs(float(k))
-    if r == 1:
-        sigma = (-2.0, 2.0)
-    else:
-        sigma = (-(2.0**r), 0.0, 2.0**r)
-    pts = {2.0**r - k}
-    for sg in sigma:
-        pts.add(sg + k)
-        pts.add(sg - k)
-    return sorted(p for p in pts if p > 0.0)
-
-
 def _p_r_arr(r: int, k: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized folded density p_r(k; x) from the closed forms (r <= 3)."""
+    """Vectorized folded density p_r(k; x)."""
     k = abs(float(k))
     x = np.asarray(x, dtype=float)
     edge = 2.0**r
@@ -161,33 +230,21 @@ def _p_r_arr(r: int, k: float, x: np.ndarray) -> np.ndarray:
 def p_r(r: int, k: float, x: float) -> float:
     """Folded density of |k + prod(X_i + 1/X_i)| at a point.
 
-    Closed-form path for r <= 3, recursion path for 4 <= r <= 6.
-    Propagates EdgeSingularityError from the underlying p_hat branches.
+    Closed forms for r <= 3, the recursion on G_3 for 4 <= r <= 6.  Raises
+    EdgeSingularityError at the singular abscissae of either branch.
     """
+    if not 1 <= r <= 6:
+        raise DomainError("p_r supports 1 <= r <= 6")
     k = abs(float(k))
     x = float(x)
     edge = 2.0**r
     if x < 0.0 or x >= edge + k:
         return 0.0
-    if r <= 3:
-        # Route through scalar p_hat so singular abscissae raise.
-        val = p_hat(r, x - k) if abs(x - k) < edge else 0.0
-        if k < edge and x < edge - k:
-            val += p_hat(r, x + k)
-        return val
-    if r > 6:
-        raise DomainError("p_r supports r <= 6")
-
-    def ph(z: float) -> float:
-        y = 1.0 - z**2 / 4.0**r
-        if not 0.0 < y <= 1.0:
-            return 0.0
-        return g_recursion(r, min(y, 1.0 - 1e-15)).value.real
-
-    val = ph(x - k) if abs(x - k) < edge else 0.0
+    if abs(x - k) < edge:
+        _check_edge(r, x - k)
     if k < edge and x < edge - k:
-        val += ph(x + k)
-    return val
+        _check_edge(r, x + k)
+    return float(_p_r_arr(r, k, np.array([x]))[0])
 
 
 def moment(r: int, v: complex, two_sided: bool) -> complex:
@@ -210,58 +267,6 @@ def moment(r: int, v: complex, two_sided: bool) -> complex:
     if not two_sided:
         return one_sided
     return (1.0 + cmath.exp(1j * math.pi * v)) * one_sided
-
-
-# Laurent data of the Mellin transform at its s = -1 pole: mellin_H(r, s)
-# has an order-r pole there, mellin_H = sum_j A_j / (s+1)^j + analytic, so
-# H_r(u) = sum_j A_j log(1/u)^(j-1) / (j-1)! + O(u log^(r-1) u) as u -> 0.
-# Coefficients from the Taylor series of Gamma(1+e) Gamma(1/2) /
-# (2 pi Gamma(1/2+e)) raised to the r-th power (30-digit arithmetic).
-_H_SMALL_COEFFS = {
-    2: (0.070230492772683, 0.025330295910584),
-    3: (0.014970162687827, 0.016766295120828, 0.0040314418041499),
-    4: (
-        0.00099371738860178,
-        0.0056429282450903,
-        0.0035579183277564,
-        0.00064162389091777,
-    ),
-}
-
-
-def _h_arr(r: int, u: np.ndarray) -> np.ndarray:
-    """H_r(u) = G_r(1 - u) with full accuracy in small u, r <= 4.
-
-    Forming 1 - u collapses sub-ulp u onto 1 exactly, which truncates the
-    logarithmic divergence of G_r near its x = 0 point; below the crossover
-    the pole expansion of the Mellin transform gives H_r directly in terms
-    of log u (r = 4 additionally needs it because the recursion quadrature
-    degrades near the divergence).
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    # r = 4 has no closed form and a noisier recursion; hand off earlier.
-    cross = 1e-13 if r <= 3 else 1e-6
-    small = u < cross
-    if np.any(~small):
-        ub = u[~small]
-        if r <= 3:
-            out[~small] = _g_closed_arr(r, 1.0 - ub)
-        else:
-            out[~small] = [
-                g_recursion(4, 1.0 - float(uv), 1e-8).value.real for uv in ub
-            ]
-    if np.any(small):
-        with np.errstate(divide="ignore"):
-            el = -np.log(u[small])
-        if r == 1:
-            out[small] = 1.0 / (_TWO_PI * np.sqrt(1.0 - u[small]))
-        else:
-            acc = np.zeros_like(el)
-            for j, a in enumerate(_H_SMALL_COEFFS[r]):
-                acc += a * el**j / math.factorial(j)
-            out[small] = acc
-    return out
 
 
 def moment_quadrature(r: int, v: int, tol: float = 1e-12) -> EvalResult:
@@ -287,7 +292,7 @@ def moment_quadrature(r: int, v: int, tol: float = 1e-12) -> EvalResult:
         return (1.0 - y) ** ex * _g_closed_arr(r, y)
 
     def from_zero(u: np.ndarray) -> np.ndarray:
-        return u**ex * _h_arr(r, u)
+        return u**ex * _g_closed(r, 1.0 - u, u)
 
     total = 0.0
     err = 0.0

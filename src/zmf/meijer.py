@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ellipkm1, loggamma
 
-from .errors import ContourError, DomainError
+from .errors import ContourError, ConvergenceError, DomainError
 from .gamma import log_gamma
 from .types import EvalResult, Method
-from .quadutil import tanh_sinh_relaxed, ts_rows
+from .quadutil import ts_rows
 
 _ALLOWED_ORDERS = {(2, 4, 4, 4), (2, 3, 3, 3)}
 _POLE_RANGE = 200
@@ -193,27 +193,28 @@ def meijer_mb(spec: MeijerSpec, tol: float = 1e-11) -> EvalResult:
     return EvalResult(total, err, Method.CONTOUR)
 
 
-def elliptic_2k(c64: float, x2: np.ndarray, x3) -> np.ndarray:
-    """2 K(m) at m = 1 - p, p = c64 x2 x3: the inner elliptic integral of the
-    W_3 triple-integral representation, for an array of x2 and an x3 that
-    broadcasts against it (a scalar or a column of outer nodes)."""
+def elliptic_2k(c: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2 K(m) at m = 1 - p, p = c (a b)^2: the inner elliptic integral of the
+    W_3 triple-integral representation, for arrays a and b that broadcast
+    against each other."""
     # ellipkm1 takes 1 - m directly; forming m = 1 - tiny first would cancel
     # to m = 1 and overflow.
-    p = c64 * x2 * x3
+    p = c * (a * b) ** 2
     with np.errstate(divide="ignore"):
         kk = 2.0 * ellipkm1(p)
-    # The product can underflow to zero when x3 is extreme; use
-    # 2 K(1-p) -> log(16/p) there, with log p assembled per factor.
+    # Where p underflows, 2 K(1 - p) -> log(16 / p), with log p assembled
+    # factor by factor; squaring first would underflow too.
     under = p == 0.0
     if np.any(under):
-        x2, x3 = np.broadcast_arrays(x2, x3)
-        kk[under] = (
-            math.log(16.0)
-            - math.log(c64)
-            - np.log(x2[under])
-            - np.log(x3[under])
-        )
+        a, b = np.broadcast_arrays(a, b)
+        kk[under] = math.log(16.0 / c) - 2.0 * (np.log(a[under]) + np.log(b[under]))
     return kk
+
+
+def _halves(up: np.ndarray, t: np.ndarray) -> tuple:
+    """(x, 1 - x) at the local node t of the lower half of (0, 1), x = t, or
+    of the upper half, 1 - x = t, so the distance to 1 is exact there."""
+    return np.where(up, 1.0 - t, t), np.where(up, t, 1.0 - t)
 
 
 def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResult:
@@ -221,8 +222,12 @@ def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResul
 
     The innermost coordinate is an elliptic integral in disguise:
     int_0^1 dx1 / sqrt(x1 (1-x1) (1 - m x1)) = 2 K(m) with parameter
-    m = 1 - (k^2/64) x2 x3, so only a 2-d singular integral remains; the
-    x2 integrals for all outer x3 nodes of a level run as rows of one ladder.
+    m = 1 - (k^2/64) x2 x3, so only a 2-d singular integral remains, with
+    weights (1 - x2)^(s/2) / sqrt(x2) and (1 - x3)^((s-1)/2) / sqrt(x3).
+    Both coordinates are split at 1/2 and each upper half is integrated in
+    its distance 1 - x, so every singular end sits at the origin of a half.
+    The x2 halves for all outer x3 nodes of a level run as rows of one
+    ladder.  Raises ConvergenceError when a row misses its tolerance.
     """
     s = complex(s)
     k = float(k)
@@ -232,20 +237,30 @@ def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResul
         raise DomainError("requires 0 < |k| < 8")
     c64 = k * k / 64.0
 
-    def outer(x3: np.ndarray) -> np.ndarray:
-        w3 = np.exp(0.5 * (s - 1.0) * np.log1p(-x3)) / np.sqrt(x3)
+    def outer(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        x3, om3 = (z.ravel() for z in _halves((rows == 1)[:, None], t))
+        sq3 = np.sqrt(x3)
+        m = len(x3)
 
-        def inner(rows: np.ndarray, x2: np.ndarray) -> np.ndarray:
-            w2 = np.exp(0.5 * s * np.log1p(-x2)) / np.sqrt(x2)
-            return w2 * elliptic_2k(c64, x2, x3[rows, None])
+        def inner(irows: np.ndarray, t2: np.ndarray) -> np.ndarray:
+            x2, om2 = _halves((irows >= m)[:, None], t2)
+            sq2 = np.sqrt(x2)
+            w2 = np.exp(0.5 * s * np.log(om2)) / sq2
+            return w2 * elliptic_2k(c64, sq2, sq3[irows % m, None])
 
-        v, _, _ = ts_rows(inner, np.zeros(len(x3)), 1.0, tol / 10.0)
-        return w3 * v
+        v, _, ok = ts_rows(inner, np.zeros(2 * m), 0.5, tol / 20.0)
+        if not ok.all():
+            raise ConvergenceError("meijer_triple_integral: an inner integral missed tol")
+        w3 = np.exp(0.5 * (s - 1.0) * np.log(om3)) / sq3
+        return (w3 * (v[:m] + v[m:])).reshape(t.shape)
 
-    val, err = tanh_sinh_relaxed(outer, 0.0, 1.0, tol)
+    vals, errs, ok = ts_rows(outer, np.zeros(2), 0.5, tol / 2.0)
+    if not ok.all():
+        raise ConvergenceError("meijer_triple_integral: the outer integral missed tol")
+    val = complex(np.sum(vals))
     # Inner integrals carry relative error ~tol/10 each; the outer successive
     # difference sees them as integrand noise, so fold them in proportionally.
-    err = err + 0.1 * tol * (1.0 + abs(val))
+    err = float(np.sum(errs)) + 0.1 * tol * (1.0 + abs(val))
     pref = (
         math.sqrt(math.pi)
         * cmath.exp((1.0 + s) * math.log(abs(k)))

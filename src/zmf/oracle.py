@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .types import EvalResult, Method, QuadratureConfig, ZmfPoint
 from .quadutil import cabs, split_points, tanh_sinh_relaxed, ts_rows
 
@@ -124,11 +124,11 @@ def _t1(k: float, s: complex, tol: float):
     return v[0], e[0]
 
 
-def _outer_segments(pts: list) -> list:
-    """Halve each segment of [0, pi] between consecutive critical angles and
+def _anchored_halves(lo: float, hi: float, pts: list) -> list:
+    """Halve each segment of [lo, hi] between consecutive critical points and
     anchor each half at its critical end: entries (anchor, direction, length)
     parameterize t = anchor + direction * u."""
-    segs = split_points(0.0, math.pi, pts)
+    segs = split_points(lo, hi, pts)
     jobs = []
     for a, b in zip(segs[:-1], segs[1:]):
         mid = 0.5 * (a + b)
@@ -221,7 +221,7 @@ def _t_nested(r: int, k: float, s: complex, tol: float):
     for val in (k / (2.0 * edge), -k / (2.0 * edge)):
         if -1.0 < val < 1.0:
             pts.append(math.acos(val))
-    jobs = _outer_segments(pts)
+    jobs = _anchored_halves(0.0, math.pi, pts)
     total = 0.0 + 0.0j
     err = 0.0
     for anchor, direction, length in jobs:
@@ -277,10 +277,18 @@ def monte_carlo(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> EvalRe
 
 
 def density_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> EvalResult:
-    """W_r(k;s) = int_0^{|k|+2^r} x^s p_r(k;x) dx via the closed-form
-    densities (r <= 3) or the density recursion (r = 4), split at every
-    singular abscissa of the folded density."""
-    from .density import _h_arr, _p_r_arr, _singular_abscissae
+    """W_r(k;s) = int_{-2^r}^{2^r} |k + t|^s p_hat_r(t) dt over the signed
+    product t, r <= 4: closed-form densities for r <= 3, the batched
+    recursion on G_3 at r = 4.
+
+    The singular points -2^r, 0, 2^r and -k are exact floats.  Each segment
+    between them is halved and each half anchored at its end
+    (``_anchored_halves``), and the integrand is built from the exact local
+    distance u: |t| = u at 0, 2^r - |t| = u at +-2^r and |k + t| = u at -k.
+    All halves are rows of one level ladder.  Raises ConvergenceError when a
+    half misses its share of the tolerance.
+    """
+    from .density import _p_hat_parts
 
     if point.r > 4:
         raise DomainError("density_quadrature supports r <= 4")
@@ -288,40 +296,30 @@ def density_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) ->
     if s.real <= -1.0:
         raise DomainError("requires Re(s) > -1")
     r, k = point.r, abs(float(point.k))
-    hi = k + 2.0**r
+    edge = 2.0**r
+    halves = _anchored_halves(-edge, edge, [0.0, -k])
+    anchor, dirn, length = (np.array(col) for col in zip(*halves))
+    # Along a half, |t| = at0 + grow * u and 2^r - |t| = de0 - grow * u, both
+    # exact at the anchor; k + t = kt0 + dirn * u.
+    grow = np.where(anchor == 0.0, 1.0, np.sign(anchor) * dirn)
+    at0 = np.abs(anchor)
+    de0 = edge - at0
+    kt0 = k + anchor
+    inner = [0.0]  # largest error of the r = 4 densities at any node
 
-    if r <= 3:
-        def f(x: np.ndarray) -> np.ndarray:
-            return _abs_pow(x, s) * _p_r_arr(r, k, x)
-    else:
-        edge = 2.0**r
+    def f(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        g = grow[rows, None] * u
+        dens, e, ok = _p_hat_parts(r, (at0[rows, None] + g).ravel(), (de0[rows, None] - g).ravel())
+        if not ok.all():
+            raise ConvergenceError("density_quadrature: the G_4 recursion did not converge")
+        inner[0] = max(inner[0], float(np.max(e)))
+        return _abs_pow(kt0[rows, None] + dirn[rows, None] * u, s) * dens.reshape(u.shape)
 
-        def ph4(z: float) -> float:
-            # Work with u = z^2/4^r directly: near z = 0 the density is a
-            # cubic in log u, and u stays resolved far below one ulp of 1.
-            u = z * z / 4.0**r
-            if not 0.0 < u < 1.0:
-                return 0.0
-            return float(_h_arr(r, np.array([u]))[0])
-
-        def f(x: np.ndarray) -> np.ndarray:
-            dens = np.empty(len(x))
-            for i, xi in enumerate(x):
-                xi = float(xi)
-                v = ph4(xi - k) if abs(xi - k) < edge else 0.0
-                if k < edge and xi < edge - k:
-                    v += ph4(xi + k)
-                dens[i] = v
-            return _abs_pow(x, s) * dens
-
-    segs = split_points(0.0, hi, _singular_abscissae(r, k))
-    # The r = 4 integrand costs a nested quadrature per point; cap the level
-    # ladder so the node count stays bounded.
-    max_level = 9 if r <= 3 else 7
-    total = 0.0 + 0.0j
-    err = 0.0
-    for a, b in zip(segs[:-1], segs[1:]):
-        v, e = tanh_sinh_relaxed(f, a, b, cfg.tol / len(segs), max_level=max_level)
-        total += v
-        err += e
-    return EvalResult(total, err, Method.QUADRATURE)
+    val, err, ok = ts_rows(f, np.zeros(len(anchor)), length, cfg.tol / len(anchor))
+    if not ok.all():
+        raise ConvergenceError(f"density_quadrature missed tol {cfg.tol:.1e}")
+    # Density errors of at most E move W by E int_{-2^r}^{2^r} |k + t|^Re(s) dt.
+    sig = s.real + 1.0
+    mass = (abs(k + edge) ** sig - math.copysign(abs(k - edge) ** sig, k - edge)) / sig
+    err = float(np.sum(err)) + inner[0] * mass
+    return EvalResult(complex(np.sum(val)), err, Method.QUADRATURE)

@@ -13,6 +13,12 @@ from .errors import DomainError
 BOUNDARY_TOL = 1e-12
 
 
+def check_finite(k: float, s: complex) -> None:
+    """Raise DomainError unless k and s are finite."""
+    if not (math.isfinite(k) and cmath.isfinite(s)):
+        raise DomainError(f"k and s must be finite, got k={k}, s={s}")
+
+
 class Method(str, enum.Enum):
     CLOSED_FORM = "closed-form"
     QUADRATURE = "quadrature"
@@ -52,8 +58,7 @@ class ZmfPoint:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("r must be a positive integer")
-        if not (math.isfinite(self.k) and cmath.isfinite(self.s)):
-            raise DomainError(f"k and s must be finite, got k={self.k}, s={self.s}")
+        check_finite(self.k, self.s)
 
     @property
     def regime(self) -> Regime:

@@ -33,7 +33,7 @@ from .hyper import (
     pfq_continued,
 )
 from .meijer import meijer_mb, w2_g_spec, w3_g_spec
-from .types import BOUNDARY_TOL, EvalResult, Method, ZmfPoint
+from .types import BOUNDARY_TOL, EvalResult, Method, ZmfPoint, check_finite
 
 # Frozen calibration: continuing the family series to w = 4^r/k^2 > 1 through
 # the lower half w-plane reproduces the torus integral (the boundary value
@@ -59,6 +59,7 @@ def w1(k: float, s: complex) -> EvalResult:
     """W_1(k;s) by the three-case closed form (|k| vs 2)."""
     k = abs(float(k))
     s = complex(s)
+    check_finite(k, s)
     if k > 2.0 + BOUNDARY_TOL:
         f = pfq(SeriesSpec((-s / 2, (1 - s) / 2), (1.0,), 4.0 / (k * k)))
         val = cpow(k, s) * f.value
@@ -98,6 +99,7 @@ def w_light(r: int, k: float, s: complex) -> EvalResult:
     acceleration exactly on the boundary)."""
     k = abs(float(k))
     s = complex(s)
+    check_finite(k, s)
     edge = 2.0**r
     if k < edge - BOUNDARY_TOL:
         raise DomainError("w_light requires |k| >= 2^r")
@@ -117,6 +119,7 @@ def w_real_s(r: int, k: float, s: float) -> EvalResult:
     continuation of the family series to w = 4^r/k^2 > 1."""
     k = abs(float(k))
     s = float(s)
+    check_finite(k, s)
     if not 1 <= r <= 4:
         raise DomainError("w_real_s supports 1 <= r <= 4")
     if not 0.0 < k < 2.0**r:
@@ -154,6 +157,7 @@ def w2(k: float, s: complex) -> EvalResult:
     """W_2(k;s) for |k| < 4, Re(s) > -1, s away from the odd integers."""
     k = abs(float(k))
     s = complex(s)
+    check_finite(k, s)
     if k >= 4.0:
         raise DomainError("w2 requires |k| < 4")
     if s.real <= -1.0:
@@ -239,6 +243,7 @@ def w3(k: float, s: complex) -> EvalResult:
     """
     k = abs(float(k))
     s = complex(s)
+    check_finite(k, s)
     if k >= 8.0:
         raise DomainError("w3 requires |k| < 8")
     if s.real <= -1.0:

@@ -76,11 +76,17 @@ def test_conjugation_symmetry():
 
 
 def test_cross_method_triple_integral():
-    # both routes return the bare G value, normalized identically
-    for s, k in [(0.5, 1.0), (2.0, 4.0), (1.2, 6.0)]:
-        a = meijer_mb(w3_g_spec(s, k))
-        b = meijer_triple_integral(s, k)
-        assert b.value == pytest.approx(a.value, rel=1e-7, abs=1e-8)
+    # Both routes return the bare G value, normalized identically.  With the
+    # upper halves of x2 and x3 integrated in 1 - x the routes agree to
+    # ~1e-14 for every s; forming 1 - x from a node lost the mass of
+    # (1 - x3)^((s-1)/2) within an ulp of x3 = 1, 3e-9 relative at s = 0 and
+    # 0.14 at s = -0.9.
+    for s in (0.5, 1.2, 2.0, 0.0, -0.5, -0.9, -0.5 + 3j):
+        for k in (1.0, 4.0, 6.0):
+            a = meijer_mb(w3_g_spec(s, k))
+            b = meijer_triple_integral(s, k)
+            assert b.value == pytest.approx(a.value, rel=1e-12)
+            assert abs(b.value - a.value) <= a.abs_err + b.abs_err
 
 
 def test_invalid_spec_rejected():

@@ -103,10 +103,25 @@ class TestDensityRoute:
         assert abs(res.value - ref) < 1e-7
 
     def test_matches_closed_form_light(self):
-        # interior singular abscissae of p_r cap the x-variable quadrature
-        # near 1e-8 (sub-ulp mass at the segment ends)
         res = density_quadrature(ZmfPoint(1, 3.0, 2.0), CFG)
-        assert res.value.real == pytest.approx(11.0, rel=1e-7)
+        assert res.value.real == pytest.approx(11.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "r, k, s, tol",
+        [
+            (3, 4.013422922741341, 0.5549929797046887, 1e-8),
+            (2, 3.0, 2.0, 1e-10),
+            (3, 2.0, 2.0, 1e-10),
+            (4, 3.0, 1.5, 1e-6),
+            (3, 0.5, 0.3 + 2j, 1e-10),
+        ],
+    )
+    def test_error_bar_holds(self, r, k, s, tol):
+        # In the signed product t, with -2^r, 0, 2^r and -k anchored at piece
+        # ends, the true error stays inside abs_err; in the folded variable
+        # the r = 3 point was 6.2e-8 relative off with abs_err 2.5e-9.
+        res = density_quadrature(ZmfPoint(r, k, s), QuadratureConfig(tol=tol))
+        assert abs(res.value - w(r, k, s).value) <= res.abs_err
 
     def test_rejects_low_s(self):
         with pytest.raises(DomainError):

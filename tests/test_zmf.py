@@ -213,6 +213,23 @@ class TestDispatcher:
         with pytest.raises(DomainError, match="finite"):
             w(1, k, s, method=method)
 
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (w1, (math.nan, 1.0)),
+            (w1, (1.0, math.nan)),
+            (w_light, (1, 3.0, math.nan)),
+            (w2, (1.0, math.nan)),
+            (w3, (1.0, math.inf)),
+            (w_real_s, (2, 1.0, math.inf)),
+        ],
+    )
+    def test_closed_forms_reject_non_finite(self, fn, args):
+        # w1(nan, 1) summed its full term budget into a ConvergenceError; the
+        # others raised a bare ValueError or an OverflowError.
+        with pytest.raises(DomainError, match="finite"):
+            fn(*args)
+
 
 class TestTypes:
     @pytest.mark.parametrize("tol", [math.nan, 1e-15])
