@@ -23,7 +23,7 @@ from .gamma import cpow
 from .hyper import SeriesSpec, pfq
 from .meijer import elliptic_2k, meijer_mb, w3_g_spec
 from .types import EvalResult, Method
-from .quadutil import _ts_run, tanh_sinh_relaxed, ts_rows
+from .quadutil import _ts_run, ts_rows
 from .zmf import w1, w2, w3
 
 
@@ -209,7 +209,8 @@ def check_beauty(
     alpha: float, beta: float, lam: complex, mu: complex, x: float
 ) -> float:
     """Residual of the two-eigenfunction Wronskian identity:
-    int_0^x phi_lam phi_mu Delta dt = (mu^2-lam^2)^-1 Delta(x) W[phi_lam, phi_mu](x)."""
+    int_0^x phi_lam phi_mu Delta dt = (mu^2-lam^2)^-1 Delta(x) W[phi_lam, phi_mu](x).
+    Raises ConvergenceError when the integral misses its tolerance."""
     lam, mu = complex(lam), complex(mu)
     if abs(lam - mu) < 1e-12 or abs(lam + mu) < 1e-12:
         raise DomainError("check_beauty requires lambda != +-mu")
@@ -224,7 +225,9 @@ def check_beauty(
             ]
         ) * jacobi_weight(alpha, beta, t)
 
-    lhs, _ = tanh_sinh_relaxed(integrand, 0.0, x, 1e-11)
+    lhs, _, ok = _ts_run(integrand, 0.0, x, 1e-11, 9)
+    if not ok:
+        raise ConvergenceError("check_beauty: the integral missed 1e-11")
 
     def phi_prime(nu: complex) -> complex:
         return _fd_derivative(lambda h: jacobi_phi(alpha, beta, nu, x + h), 1e-5)
@@ -251,7 +254,8 @@ def mahler_w2_routes(k: float) -> dict:
     int_0^1 dx1 / sqrt(x1 (1 - a x1)) = 2 arcsin(sqrt a) / sqrt a with
     a = z x2.  The outer one runs in theta with x2 = sin^2 theta, which
     absorbs the 1/sqrt(x2 (1 - x2)) weight and leaves the smooth integrand
-    4 arcsin(sqrt z sin theta) / (sqrt z sin theta) on (0, pi/2).
+    4 arcsin(sqrt z sin theta) / (sqrt z sin theta) on (0, pi/2).  Raises
+    ConvergenceError when the integral misses its tolerance.
     """
     k = abs(float(k))
     if k >= 4.0:
@@ -267,7 +271,9 @@ def mahler_w2_routes(k: float) -> dict:
         x = np.maximum(sqrt_z * np.sin(theta), np.finfo(float).tiny)
         return 4.0 * np.arcsin(x) / x
 
-    v, _ = tanh_sinh_relaxed(integrand, 0.0, 0.5 * math.pi, 1e-12)
+    v, _, ok = _ts_run(integrand, 0.0, 0.5 * math.pi, 1e-12, 9)
+    if not ok:
+        raise ConvergenceError("mahler_w2_routes: the integral missed 1e-12")
     integral = k / (8.0 * math.pi) * float(v)
     deriv = _fd_derivative(lambda h: w2(k, h).value).real
     return {"series": series, "integral": integral, "derivative": deriv}

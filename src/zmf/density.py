@@ -23,7 +23,7 @@ from scipy.special import ellipk, ellipkm1, hyp2f1
 from .errors import ConvergenceError, DomainError, EdgeSingularityError
 from .gamma import log_gamma
 from .types import EvalResult, Method
-from .quadutil import tanh_sinh_relaxed, ts_rows
+from .quadutil import _ts_run, ts_rows
 
 _TWO_PI = 2.0 * math.pi
 _EDGE_TOL = 1e-14
@@ -277,6 +277,7 @@ def moment_quadrature(r: int, v: int, tol: float = 1e-12) -> EvalResult:
     the x = 2^r edge singularity at y = 0 and the x = 0 one at y = 1; the
     y = 1 end is integrated in u = 1 - y so both singular points sit at the
     origin of their local variable, where floats still resolve the mass.
+    Raises ConvergenceError when either piece misses tol/2.
     """
     if r not in (1, 2, 3):
         raise DomainError("moment_quadrature supports r in {1, 2, 3}")
@@ -297,7 +298,9 @@ def moment_quadrature(r: int, v: int, tol: float = 1e-12) -> EvalResult:
     total = 0.0
     err = 0.0
     for f in (from_edge, from_zero):
-        val, e = tanh_sinh_relaxed(f, 0.0, 0.5, tol / 2.0)
+        val, e, ok = _ts_run(f, 0.0, 0.5, tol / 2.0, 9)
+        if not ok:
+            raise ConvergenceError(f"moment_quadrature missed tol {tol:.1e}")
         total += val.real
         err += e
     scale = 2.0**r * 4.0 ** (r * n)

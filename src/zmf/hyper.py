@@ -143,12 +143,13 @@ def _sum_near_unit(spec: SeriesSpec) -> EvalResult:
     coef = np.linalg.solve(vand, rhs)
 
     def tail_sum(sigma: complex) -> complex:
-        # sum_{n > n_cut} z^n n^{-sigma}
-        if at_one:
-            return complex(mpmath.zeta(complex(sigma), n_cut + 1))
-        return complex(
-            mpmath.lerchphi(complex(z), complex(sigma), n_cut + 1)
-        ) * complex(z) ** (n_cut + 1)
+        # sum_{n > n_cut} z^n n^{-sigma}; not at the caller's mp.dps.
+        with mpmath.workdps(30):
+            if at_one:
+                return complex(mpmath.zeta(complex(sigma), n_cut + 1))
+            return complex(
+                mpmath.lerchphi(complex(z), complex(sigma), n_cut + 1)
+            ) * complex(z) ** (n_cut + 1)
 
     tail = 0.0 + 0.0j
     for j, c in enumerate(coef):

@@ -4,11 +4,11 @@ Carlo sampling and 1-d integration against the closed-form densities.
 The r-dimensional torus average reduces by Fubini to a nest of 1-d
 integrals: with T_1(k;s) = (1/pi) int_0^pi |k + 2 cos t|^s dt,
 
-    T_r(k;s) = (1/pi) int_0^pi |2 cos t|^s T_{r-1}(k / (2 cos t); s) dt,
+    T_r(k;s) = (2/pi) int_0^{pi/2} |2 cos t|^s T_{r-1}(k / (2 cos t); s) dt,
 
-and every level is integrated with singularity-splitting tanh-sinh rules
-(zeros of k + 2 cos t at level one, light/heavy regime kinks above).
-Nothing here touches the hypergeometric closed forms.
+one row-batched recursion at every depth (``_t_rows``), with each level's
+singular points anchored at the origin of a local variable whose distance
+is exact.  Nothing here touches the hypergeometric closed forms.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .types import EvalResult, Method, QuadratureConfig, ZmfPoint
-from .quadutil import cabs, split_points, tanh_sinh_relaxed, ts_rows
+from .quadutil import cabs, split_points, ts_rows
 
 _DEFAULT_CFG = QuadratureConfig()
 
@@ -137,99 +137,84 @@ def _anchored_halves(lo: float, hi: float, pts: list) -> list:
     return jobs
 
 
-def _t_nested(r: int, k: float, s: complex, tol: float):
-    """T_r via the Fubini nest; returns (value, error_estimate)."""
+def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
+    """T_r(k_i; s) to tolerance tol_i for every row, given the signed
+    distance delta_i = |k_i| - 2^r; returns arrays (value, error).
+
+    At r >= 2 the folded outer integral has critical angles
+    theta = acos(min(k/2^r, 1)), where k/(2cos t) crosses the inner edge
+    2^(r-1), and pi/2, where the weight vanishes.  The halves of
+    [0, theta] and [theta, pi/2] are anchored at 0, theta, theta and pi/2
+    (halves of length 0 are dropped).  At t = t0 + x, with c0 = cos t0
+    exact (1, min(k/2^r, 1) or 0) and p = 2 sin(t0 + x/2) sin(x/2),
+    cos t = c0 - p and k - 2^r cos t = (k - 2^r c0) + 2^r p, where
+    k - 2^r c0 is exactly delta, max(delta, 0) or k: both are exact where
+    they vanish.  All halves of all rows are rows of one level ladder, and
+    each level's inner T_(r-1) at all nodes is one recursive call.
+    """
     if r == 1:
-        return _t1(k, s, tol)
-    k = abs(float(k))
-    if k == 0.0:
-        # Factors are independent: T_r(0;s) = T_1(0;s)^r.
-        v, e = _t1(0.0, s, tol / r)
-        return v**r, r * abs(v) ** (r - 1) * e
+        return _t1_rows(delta, s, tol)
+    edge = 2.0**r
+    k = edge + delta
+    ctheta = np.minimum(k / edge, 1.0)
+    theta = np.arccos(ctheta)
+    mid = 0.5 * (theta + 0.5 * math.pi)
+    n = len(delta)
+    # Halves slot by slot, as in _t1_jobs, so np.add.at sums each row's
+    # halves in this order.
+    row = np.tile(np.arange(n), 4)
+    t0 = np.concatenate([np.zeros(n), theta, theta, np.full(n, 0.5 * math.pi)])
+    c0 = np.concatenate([np.ones(n), ctheta, ctheta, np.zeros(n)])
+    num0 = np.concatenate([delta, np.maximum(delta, 0.0), np.maximum(delta, 0.0), k])
+    dirn = np.repeat([1.0, -1.0, 1.0, -1.0], n)
+    length = np.concatenate([0.5 * theta, 0.5 * theta, mid - theta, 0.5 * math.pi - mid])
+    keep = length > 0.0
+    row, t0, c0, num0, dirn, length = (col[keep] for col in (row, t0, c0, num0, dirn, length))
+    kh, tolh = k[row], tol[row]
 
-    inner_err = [0.0]
+    # |2cos t|^s T_(r-1)(k/|2cos t|) -> |k|^s as cos t -> 0; below this
+    # threshold the first-order large-argument expansion is already accurate
+    # to ~1e-28 relative, and it avoids both overflow in the inner argument
+    # and the inner error floor blowing up under the diverging weight.
+    edge_in = 0.5 * edge
+    thr = 1e-7 * kh / edge_in
+    alpha = (-s / 2.0) * ((1.0 - s) / 2.0) * 0.5 ** (r - 2)
+    k_pow_s = _abs_pow(kh, s)
+    inner_err = np.zeros(n)
 
-    def make_outer(anchor: float, direction: float):
-        # Stable |2 cos t| and 1 - |cos t| at t = anchor + direction * u; the
-        # specializations keep full relative accuracy where the weight
-        # vanishes (pi/2) and where a boundary-k kink sits (0 and pi).
-        if anchor == 0.0 or anchor == math.pi:
-            def cos_parts(u):
-                absc = 2.0 * np.cos(u)
-                return absc, 2.0 * np.sin(0.5 * u) ** 2
-            sign = 1.0 if anchor == 0.0 else -1.0
-        elif anchor == 0.5 * math.pi:
-            def cos_parts(u):
-                sn = np.sin(u)
-                return 2.0 * sn, 1.0 - sn
-            sign = -direction
-        else:
-            def cos_parts(u):
-                c = np.cos(anchor + direction * u)
-                return 2.0 * np.abs(c), 1.0 - np.abs(c)
-            cs = math.cos(anchor)
-            sign = 1.0 if cs > 0 else -1.0
+    def f(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        x = dirn[rows, None] * u
+        p = 2.0 * np.sin(t0[rows, None] + 0.5 * x) * np.sin(0.5 * x)
+        absc = 2.0 * (c0[rows, None] - p)
+        near = absc < thr[rows, None]
+        half = np.broadcast_to(rows[:, None], u.shape)
+        out = np.empty(u.shape, dtype=complex)
+        hn = half[near]
+        out[near] = k_pow_s[hn] * (1.0 + alpha * edge_in * edge_in * (absc[near] / kh[hn]) ** 2)
+        h_in, a_in = half[~near], absc[~near]
+        pw = _abs_pow(a_in, s)
+        wgt = cabs(pw)
+        # Floor the inner distance: a node within rounding of the inner edge
+        # (true distance > 0, weight ~1e-300) must not evaluate the genuinely
+        # divergent edge integral.
+        d_in = (num0[h_in] + edge * p[~near]) / a_in
+        tiny = np.abs(d_in) < 1e-250
+        d_in[tiny] = np.where(d_in[tiny] >= 0.0, 1e-250, -1e-250)
+        v, e = _t_rows(r - 1, d_in, s, tolh[h_in] / np.maximum(1.0, wgt))
+        out[~near] = pw * v
+        # Inner error enters the outer integrand scaled by |2 cos t|^Re s.
+        np.maximum.at(inner_err, row[h_in], wgt * e)
+        return out
 
-        edge_in = 2.0 ** (r - 1)
-        # |2cos t|^s T_{r-1}(k/|2cos t|) -> |k|^s as cos t -> 0; below this
-        # threshold the first-order large-argument expansion is already
-        # accurate to ~1e-28 relative, and it avoids both overflow in the
-        # inner argument and the inner error floor blowing up under the
-        # diverging weight.
-        thr = 1e-7 * k / edge_in
-        alpha = (-s / 2.0) * ((1.0 - s) / 2.0) * 0.5 ** (r - 2)
-        k_pow_s = _abs_pow(np.array([k]), s)[0]
-
-        def outer(uarr: np.ndarray) -> np.ndarray:
-            out = np.empty(len(uarr), dtype=complex)
-            absc, onemc = cos_parts(uarr)
-            near_edge = absc < thr
-            for i in np.flatnonzero(near_edge):
-                z = edge_in * edge_in * (float(absc[i]) / k) ** 2
-                out[i] = k_pow_s * (1.0 + alpha * z)
-            inside = ~near_edge
-            absc = absc[inside]
-            pw = _abs_pow(absc, s)
-            wgt = cabs(pw)
-            tol_in = tol / np.maximum(1.0, wgt)
-            if r == 2:
-                # Hand the inner argument's signed distance to the edge over
-                # exactly: k/|2cos t| - 2 = ((k-4) + 4(1-|cos t|))/|2cos t|.
-                # The floor keeps a node that lands within rounding of the
-                # edge itself (true distance > 0, weight ~1e-300) from
-                # evaluating the genuinely divergent edge integral.
-                delta = ((k - 4.0) + 4.0 * onemc[inside]) / absc
-                tiny = np.abs(delta) < 1e-250
-                delta[tiny] = np.where(delta[tiny] >= 0.0, 1e-250, -1e-250)
-                v, e = _t1_rows(delta, s, tol_in)
-            else:
-                inner = [_t_nested(r - 1, k / (sign * a), s, t) for a, t in zip(absc, tol_in)]
-                v = np.array([vi for vi, _ in inner], dtype=complex)
-                e = np.array([ei for _, ei in inner])
-            if len(e):
-                # Inner error enters the outer integrand scaled by |2 cos t|^Re s.
-                inner_err[0] = max(inner_err[0], float(np.max(wgt * e)))
-            out[inside] = pw * v
-            return out
-
-        return outer
-
-    # Critical angles of the outer integrand: the vanishing weight at pi/2
-    # and the inner regime boundary |k/(2cos t)| = 2^(r-1).
-    pts = [math.pi / 2.0]
-    edge = 2.0 ** (r - 1)
-    for val in (k / (2.0 * edge), -k / (2.0 * edge)):
-        if -1.0 < val < 1.0:
-            pts.append(math.acos(val))
-    jobs = _anchored_halves(0.0, math.pi, pts)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for anchor, direction, length in jobs:
-        outer = make_outer(anchor, direction)
-        v, e = tanh_sinh_relaxed(outer, 0.0, length, tol / len(jobs), max_level=7)
-        total += v
-        err += e
-    return total / math.pi, err / math.pi + inner_err[0]
+    # The folded integral is doubled, so each half gets its row's tolerance
+    # over twice the row's half count.
+    halves = np.bincount(row, minlength=n)[row]
+    val, err, _ = ts_rows(f, 0.0, length, tolh / (2.0 * halves), max_level=7)
+    total = np.zeros(n, dtype=complex)
+    errs = np.zeros(n)
+    np.add.at(total, row, val)
+    np.add.at(errs, row, err)
+    return 2.0 * total / math.pi, 2.0 * errs / math.pi + inner_err
 
 
 def torus_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> EvalResult:
@@ -237,14 +222,23 @@ def torus_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> E
     if point.r > 3:
         raise DomainError("torus_quadrature supports r <= 3 (use monte_carlo beyond)")
     s = complex(point.s)
-    if s.real <= -1.0 and abs(point.k) < 2.0**point.r:
+    r, k = point.r, abs(float(point.k))
+    if s.real <= -1.0 and k < 2.0**r:
         raise DomainError("non-integrable: Re(s) <= -1 with zeros on the torus")
-    if point.r >= 2 and 0.0 < abs(point.k) < 2.0**point.r and s.real < -0.5:
+    if r >= 2 and 0.0 < k < 2.0**r and s.real < -0.5:
         # There the inner integral diverges at the regime edge (T_1(k') like
         # |k' - 2|^(s+1/2) at r = 2), which the nest does not resolve: its
         # edge floor returned values off by up to 1e84.
         raise DomainError("torus nest needs Re(s) >= -1/2 for 0 < |k| < 2^r at r >= 2")
-    val, err = _t_nested(point.r, float(point.k), s, cfg.tol)
+    if r == 1:
+        val, err = _t1(k, s, cfg.tol)
+    elif k == 0.0:
+        # Factors are independent: T_r(0;s) = T_1(0;s)^r.
+        v, e = _t1(0.0, s, cfg.tol / r)
+        val, err = v**r, r * abs(v) ** (r - 1) * e
+    else:
+        v, e = _t_rows(r, np.array([k - 2.0**r]), s, np.array([cfg.tol]))
+        val, err = v[0], e[0]
     return EvalResult(val, err, Method.QUADRATURE)
 
 

@@ -23,9 +23,9 @@ rows still active.  Each row stops at its own level by the scalar rule:
 the successive difference falls below tol_i * (1 + |value|) or below
 tol_i.  A row that exhausts max_level keeps its last refinement and is
 flagged unconverged.  ``_ts_run`` is the one-row call and gives the same
-bits as a row of a batch; ``tanh_sinh_relaxed`` is ``_ts_run`` without the
-converged flag.  Nothing here raises on non-convergence: callers that need
-convergence read the flag.
+bits as a row of a batch.  Nothing here raises on non-convergence: a
+caller raises on the flag, or (as the torus nest does) carries an
+unconverged row's last difference in its error.
 """
 
 from __future__ import annotations
@@ -136,13 +136,6 @@ def _ts_run(f, a: float, b: float, tol: float, max_level: int):
     Returns (value, error_estimate, converged)."""
     val, err, ok = ts_rows(lambda rows, pts: f(pts[0])[None, :], a, b, tol, max_level)
     return val[0], err[0], bool(ok[0])
-
-
-def tanh_sinh_relaxed(f, a: float, b: float, tol: float, max_level: int = 9):
-    """``_ts_run`` without the flag: the last refinement with an honest
-    (possibly large) error estimate, whether or not it converged."""
-    val, err, _ = _ts_run(f, a, b, tol, max_level)
-    return val, err
 
 
 def split_points(a: float, b: float, pts) -> list:

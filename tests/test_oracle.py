@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zmf.errors import DomainError
-from zmf.oracle import _t1, _t1_rows, density_quadrature, monte_carlo, torus_quadrature
+from zmf.oracle import _t1, _t_rows, density_quadrature, monte_carlo, torus_quadrature
 from zmf.types import QuadratureConfig, ZmfPoint
 from zmf.zmf import w, w1
 
@@ -58,18 +58,51 @@ class TestTorus:
             torus_quadrature(ZmfPoint(2, 3.9, -0.9), CFG)
 
     @pytest.mark.parametrize("s", [0.7, -0.45, 1.5 + 2.0j])
-    def test_t1_rows_match_scalar(self, s):
-        # delta >= 0 with and without the near-double-root split, the edge
-        # floor on both sides, and delta < 0 with eps < 0.25 and eps >= 0.25;
-        # a row of the batch equals the same row run alone.
-        delta = np.array([0.5, 0.1, 0.0, 1e-250, -1e-250, -0.01, -1.0])
-        tol = np.array([1e-10, 1e-8, 1e-10, 1e-9, 1e-10, 1e-12, 1e-10])
-        val, err = _t1_rows(delta, s, tol)
+    @pytest.mark.parametrize(
+        "r, delta, tol",
+        [
+            # delta >= 0 with and without the near-double-root split, the
+            # edge floor on both sides, and delta < 0 with eps < 0.25 and
+            # eps >= 0.25.
+            pytest.param(
+                1,
+                [0.5, 0.1, 0.0, 1e-250, -1e-250, -0.01, -1.0],
+                [1e-10, 1e-8, 1e-10, 1e-9, 1e-10, 1e-12, 1e-10],
+                id="r1",
+            ),
+            # Light (two halves), on the edge, and heavy (four halves) near
+            # the edge and near k = 0.
+            pytest.param(2, [0.5, 0.0, -0.01, -3.5], [1e-10, 1e-10, 1e-8, 1e-9], id="r2"),
+        ],
+    )
+    def test_t_rows_match_one_row_runs(self, r, delta, tol, s):
+        # A row of the batch equals the same row run alone.
+        delta, tol = np.array(delta), np.array(tol)
+        val, err = _t_rows(r, delta, s, tol)
         for i in range(len(delta)):
-            v, e = _t1_rows(delta[i:i + 1], s, tol[i:i + 1])
+            v, e = _t_rows(r, delta[i:i + 1], s, tol[i:i + 1])
             assert val[i] == v[0] and err[i] == e[0]
-        v, e = _t1(2.5, s, 1e-10)
-        assert v == val[0] and e == err[0]
+        if r == 1:
+            v, e = _t1(2.5, s, 1e-10)
+            assert v == val[0] and e == err[0]
+
+    @pytest.mark.parametrize(
+        "r, k, s, tol",
+        [
+            (2, 3.999, -0.45, 1e-10),
+            (2, 4.0, 0.3, 1e-10),
+            (3, 7.9, -0.3, 1e-6),
+            (3, 8.0, 0.5, 1e-6),
+            (3, 8.1, 1.2, 1e-6),
+        ],
+    )
+    def test_near_inner_edge(self, r, k, s, tol):
+        # Around k = 2^r the inner argument k/(2cos t) crosses its own edge
+        # next to t = 0, where the anchor at theta = acos(k/2^r) and the
+        # exact inner distance decide the value.
+        res = torus_quadrature(ZmfPoint(r, k, s), QuadratureConfig(tol=tol))
+        ref = w(r, k, s)
+        assert abs(res.value - ref.value) <= res.abs_err + ref.abs_err
 
     def test_rejects_nonintegrable(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zmf.quadutil import _ts_run, split_points, tanh_sinh_relaxed, ts_rows
+from zmf.quadutil import _ts_run, split_points, ts_rows
 
 
 def _converged(f, a, b, tol):
@@ -48,7 +48,7 @@ def test_shifted_interval():
     # forming x - 2 at the nodes quantizes the distance to the singular
     # endpoint at ~1 ulp of 2, which caps the attainable accuracy; callers
     # needing better must supply the integrand in the local variable
-    val, _ = tanh_sinh_relaxed(lambda x: 1.0 / np.sqrt(x - 2.0), 2.0, 3.0, 1e-8)
+    val, _ = _converged(lambda x: 1.0 / np.sqrt(x - 2.0), 2.0, 3.0, 1e-8)
     assert val.real == pytest.approx(2.0, abs=1e-6)
 
 
@@ -59,7 +59,6 @@ def test_nonconvergent_run_is_flagged():
     val, err, ok = _ts_run(rough, 0.0, 1.0, 1e-14, 3)
     assert not ok
     assert np.isfinite(val) and err > 0.0
-    assert tanh_sinh_relaxed(rough, 0.0, 1.0, 1e-14, max_level=3) == (val, err)
 
 
 def test_split_points():

@@ -80,6 +80,19 @@ class TestLightAndBoundary:
         with pytest.raises(DomainError):
             w_light(2, 3.0, 1.0)
 
+    def test_near_unit_ignores_global_mp_precision(self):
+        # The near-unit tail sum used to run at the caller's mp.dps: at the
+        # default 15 digits this point was 1.7e-10 off.
+        runs = []
+        for dps in (15, 50):
+            with mpmath.workdps(dps):
+                runs.append(w(2, 4.001, -0.5))
+        assert runs[0].value == runs[1].value and runs[0].abs_err == runs[1].abs_err
+        with mpmath.workdps(30):
+            k, s = mpmath.mpf(4.001), mpmath.mpf(-0.5)
+            want = complex(k**s * mpmath.hyper([-s / 2, (1 - s) / 2, 0.5], [1, 1], 16 / k**2))
+        assert abs(runs[0].value - want) < 1e-11
+
 
 class TestHeavyClosedForms:
     def test_w2_at_zero_k(self):
