@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -332,6 +331,8 @@ def w1_rational_decomposition(n: int) -> tuple:
     """Rationals (q0, q1) with W_1(1;n) = q0 + q1 sqrt(3)/pi, n in {1, 3, 5}."""
     if n not in (1, 3, 5):
         raise DomainError("supported for n in {1, 3, 5} only")
+    import mpmath  # PSLQ is the one use of arbitrary precision in the package
+
     val = w1(1.0, float(n)).value.real
     basis = [mpmath.mpf(val), mpmath.mpf(1), mpmath.sqrt(3) / mpmath.pi]
     rel = mpmath.pslq(basis, tol=mpmath.mpf(10) ** -12, maxcoeff=10**8)

@@ -2,10 +2,14 @@
 
 Three evaluation mechanisms live here:
 
-* direct summation with a rigorous ratio-test tail bound (|z| < 1 or
-  terminating series),
-* unit-argument evaluation with a Hurwitz-zeta-accelerated tail (needed on
-  the boundary |k| = 2^r),
+* direct summation with a ratio-test tail bound plus the rounding of the
+  sum (|z| <= 0.999 or terminating series),
+* near-unit evaluation, 0.999 < |z| <= 1: a direct sum to n = 1000 and the
+  tail n > 1000 fitted to its n^(-1-alpha-j) asymptotics, each power summed
+  in numpy by an Euler-Maclaurin Hurwitz zeta (z = 1, the boundary
+  |k| = 2^r exactly), Erdelyi's Lerch expansion about z = 1 (real z next to
+  the boundary, where it carries the |k - 2^r|^(s + r/2) cusp) or the Lerch
+  asymptotic series (other z on the rim),
 * analytic continuation past z = 1 for the specific family
   (-s/2, (1-s)/2, 1/2, ..., 1/2; 1, ..., 1) by numerically integrating the
   order-(r+1) hypergeometric ODE along a half-plane detour path.
@@ -15,12 +19,13 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import comb, factorial, polygamma
 
 from .errors import (
     ConvergenceError,
@@ -29,11 +34,28 @@ from .errors import (
     PoleError,
 )
 from .gamma import log_gamma, nearest_int
-from .types import EvalResult, Method
+from .types import ROUNDING, EvalResult, Method
 
 _MAX_TERMS = 200_000
 _TOL = 1e-13
 _INT_TOL = 1e-9
+
+# Near-unit tail: direct terms to _N_CUT, then _FIT_TERMS fitted powers.
+_N_CUT = 1000
+_FIT_TERMS = 6
+_ERDELYI_TERMS = 24  # (a |log z|)^i / i! < 1e-16 for a |log z| <= 2
+_LERCH_TERMS = 48  # past the smallest term, near m = a |log z| >= 36
+_NEAR_INT = 1e-2  # |sigma - m| below which the pole pair is combined
+_POLE_TERMS = 8  # Taylor terms of phi(delta), |delta| < _NEAR_INT
+# Bernoulli numbers B_0..B_13, and B_2j / (2j)!, j = 1..6, for the
+# Euler-Maclaurin Hurwitz zeta.
+_BERNOULLI = np.array(
+    [1, -1 / 2, 1 / 6, 0, -1 / 30, 0, 1 / 42, 0, -1 / 30, 0, 5 / 66, 0, -691 / 2730, 0]
+)
+_EM_COEF = _BERNOULLI[2:13:2] / factorial(np.arange(2, 13, 2))
+# B_m(p) = sum_i C(m, i) B_(m-i) p^i, as a matrix over (m, i); C(m, i) = 0 for i > m.
+_DEG = np.arange(len(_BERNOULLI))
+_BERNOULLI_POLY = comb(_DEG[:, None], _DEG) * _BERNOULLI[np.abs(_DEG[:, None] - _DEG)]
 
 
 class ContinuationBranch(str, enum.Enum):
@@ -44,11 +66,13 @@ class ContinuationBranch(str, enum.Enum):
 @dataclass(frozen=True)
 class SeriesSpec:
     """Parameters of a p+1Fp series: upper (a_1..a_{p+1}), lower (b_1..b_p)
-    and the argument."""
+    and the argument z.  log_argument, when given, is log z computed from an
+    exact distance to z = 1; the near-unit tail reads it instead of log z."""
 
     upper: tuple
     lower: tuple
     argument: complex
+    log_argument: complex | None = None
 
     def __post_init__(self):
         if len(self.upper) != len(self.lower) + 1:
@@ -100,65 +124,145 @@ def _terms(spec: SeriesSpec):
         n += 1.0
 
 
-def _partial_sum(spec: SeriesSpec, count: int) -> complex:
-    """t_0 + ... + t_{count-1}."""
-    total = 0.0 + 0.0j
-    terms = _terms(spec)
-    for _ in range(count):
-        total += next(terms)
-    return total
+def _partial_sum(spec: SeriesSpec, count: int) -> tuple:
+    """(t_0 + ... + t_{count-1}, |t_0| + ... + |t_{count-1}|), summed
+    pairwise."""
+    terms = np.fromiter(itertools.islice(_terms(spec), count), complex, count)
+    return complex(terms.sum()), float(np.abs(terms).sum())
 
 
-def _term_at(spec: SeriesSpec, n: float) -> complex:
-    """n-th series term via Gamma ratios (valid for non-integer n too),
-    excluding the z^n factor."""
-    acc = 0.0 + 0.0j
-    for a in spec.upper:
-        acc += log_gamma(n + a) - log_gamma(a)
-    for b in spec.lower:
-        acc -= log_gamma(n + b) - log_gamma(b)
-    acc -= log_gamma(n + 1.0)
-    return cmath.exp(acc)
+def _scaled_terms(spec: SeriesSpec, nodes) -> np.ndarray:
+    """n^(1+alpha) t_n / z^n at large n, from the Stirling series
+    log Gamma(n + p) = (n + p - 1/2) log n - n + log(2 pi)/2
+                       + sum_k (-1)^(k+1) B_(k+1)(p) / (k (k+1) n^k)
+    (DLMF 5.11.8), whose leading parts cancel between the parameters; summing
+    log Gamma(n + p) itself would lose ~n log n * eps.  Needs n >> |p|."""
+    params = np.array(spec.upper + spec.lower + (1.0,))
+    sign = np.r_[np.ones(len(spec.upper)), -np.ones(len(spec.lower) + 1)]
+    bern = sign @ (params[:, None] ** _DEG @ _BERNOULLI_POLY.T)
+    k = _DEG[1:-1]
+    coef = (-1.0) ** (k + 1) * bern[k + 1] / (k * (k + 1))
+    const = sum(log_gamma(b) for b in spec.lower) - sum(log_gamma(a) for a in spec.upper)
+    inv = 1.0 / np.asarray(nodes, dtype=float)
+    return np.exp(const + np.polyval(np.r_[coef[::-1], 0.0], inv))
+
+
+def _expm1_over(x: complex) -> complex:
+    """(e^x - 1)/x, accurate for small |x| and 1 at x = 0."""
+    return complex(np.expm1(x)) / x if x != 0 else 1.0 + 0.0j
+
+
+def _hurwitz(sigma, a: float, pole: bool = True) -> np.ndarray:
+    """Hurwitz zeta(sigma, a) for a >= 1000, elementwise in sigma, by
+    Euler-Maclaurin with no direct terms:
+    a^(1-sigma)/(sigma-1) + a^-sigma/2 + sum_j B_2j/(2j)! (sigma)_(2j-1) a^(1-sigma-2j).
+    pole=False leaves out the a^(1-sigma)/(sigma-1) term."""
+    sigma = np.asarray(sigma, dtype=complex)
+    rising = np.cumprod(sigma[..., None] + np.arange(2 * len(_EM_COEF) - 1), axis=-1)
+    powers = a ** (1.0 - 2.0 * np.arange(1, len(_EM_COEF) + 1))
+    inner = 0.5 + (rising[..., ::2] * _EM_COEF * powers).sum(-1)
+    if pole:
+        inner = inner + a / (sigma - 1.0)
+    return np.exp(-sigma * math.log(a)) * inner
+
+
+def _pole_pair(delta: complex, m: int, a: float, log_l: complex) -> complex:
+    """zeta(1 + delta, a) + (-1)^(m-1) (m-1)! Gamma(1 - m - delta) L^delta,
+    with log_l = log L: the two Erdelyi terms whose 1/delta poles cancel at
+    sigma = m + delta, combined in closed form (Erdelyi I, 1.11(9) at
+    delta = 0).  The Gamma factor is -(1/delta) exp(phi(delta)),
+    phi = log Gamma(1 - delta) + log Gamma(1 + delta) - log Gamma(m + delta)
+    + log Gamma(m), summed as its Taylor series."""
+    k = np.arange(1, _POLE_TERMS + 1)
+    q = ((1 + (-1.0) ** k) * polygamma(k - 1, 1.0) - polygamma(k - 1, float(m))) / factorial(k)
+    phi_over = complex(np.polyval(q[::-1], delta))  # phi(delta) / delta
+    gamma_part = -phi_over * _expm1_over(delta * phi_over)
+    log_a = math.log(a)
+    return (
+        complex(_hurwitz(1.0 + delta, a, pole=False))
+        - log_a * _expm1_over(-delta * log_a)
+        + gamma_part * cmath.exp(delta * log_l)
+        - log_l * _expm1_over(delta * log_l)
+    )
+
+
+def _power_tails(alpha: complex, a: float, log_z: complex) -> np.ndarray:
+    """S_j = sum_{n >= a} z^n n^(-1-alpha-j), j = 0.._FIT_TERMS-1, z = e^log_z.
+
+    z = 1: Hurwitz zeta.  a |log z| <= 2: Erdelyi's expansion about z = 1
+    (Higher Transcendental Functions I, 1.11(8)),
+    z^a Phi(z, sigma, a) = Gamma(1-sigma) (-log z)^(sigma-1)
+                           + sum_i zeta(sigma - i, a) (log z)^i / i!.
+    Otherwise the Lerch asymptotic z^a sum_m c_m (sigma)_m a^(-sigma-m),
+    c_m the Taylor coefficients of 1/(1 - z e^-t); its smallest term is
+    about e^(-a |log z|) of the first, so the caller makes a |log z| >= 36."""
+    sigma = 1.0 + alpha + np.arange(_FIT_TERMS)
+    if log_z == 0:
+        return _hurwitz(sigma, a)
+    if a * abs(log_z) <= 2.0:
+        shift = round(alpha.real)
+        delta = alpha - shift
+        near = abs(delta) < _NEAR_INT
+        count = max(_ERDELYI_TERMS, shift + _FIT_TERMS + 1) if near else _ERDELYI_TERMS
+        i = np.arange(count)
+        powers = log_z**i / factorial(i)
+        with np.errstate(divide="ignore", invalid="ignore"):  # pole pairs replaced below
+            zeta = _hurwitz(sigma[:, None] - i, a)
+        log_l = cmath.log(-log_z)
+        cusp = np.empty(_FIT_TERMS, dtype=complex)
+        for j, sg in enumerate(sigma):
+            m = shift + j + 1
+            if near and m >= 1:
+                zeta[j, m - 1] = _pole_pair(delta, m, a, log_l)
+                cusp[j] = 0.0
+            else:
+                cusp[j] = cmath.exp(log_gamma(1.0 - sg) + (sg - 1.0) * log_l)
+        return zeta @ powers + cusp
+    m = np.arange(_LERCH_TERMS)
+    g = -cmath.exp(log_z) * (-1.0) ** m / factorial(m)  # 1 - z e^-t
+    g[0] = -complex(np.expm1(log_z))
+    c = np.empty(_LERCH_TERMS, dtype=complex)
+    c[0] = 1.0 / g[0]
+    for n in range(1, _LERCH_TERMS):
+        c[n] = -np.dot(g[1 : n + 1], c[n - 1 :: -1]) / g[0]
+    rising = np.cumprod(np.hstack([np.ones((_FIT_TERMS, 1)), sigma[:, None] + m[:-1]]), axis=1)
+    terms = c * rising * a ** (-m.astype(float))
+    # Each row stops at its smallest term.
+    stop = np.argmin(np.abs(terms), axis=1)[:, None]
+    series = np.where(m <= stop, terms, 0.0).sum(1)
+    return cmath.exp(a * log_z) * np.exp(-sigma * math.log(a)) * series
 
 
 def _sum_near_unit(spec: SeriesSpec) -> EvalResult:
-    """pFq for z at or near 1: direct partial sum plus a tail fitted to the
-    t_n ~ n^{-1-alpha} (c0 + c1/n + ...) asymptotics and summed exactly with
-    Hurwitz zeta (z = 1) or Lerch transcendent (z != 1) functions."""
+    """pFq for z at or near 1: direct partial sum to n_cut plus the tail
+    n > n_cut fitted to the t_n ~ z^n n^{-1-alpha} (c0 + c1/n + ...)
+    asymptotics, each power summed in closed form (_power_tails).
+
+    The error is the gap between two fits of the same tail (nodes n_cut 2^m,
+    m = 0..5 and m = 1..6) plus the rounding of the sums."""
     z = spec.argument
-    at_one = abs(z - 1.0) < 1e-14
+    log_z = spec.log_argument if spec.log_argument is not None else cmath.log(z)
     alpha = sum(spec.lower) - sum(spec.upper)
-    if at_one and alpha.real <= 0:
+    if log_z == 0 and alpha.real <= 0:
         raise DomainError(
             "pFq at unit argument diverges: Re(sum(b)-sum(a)) must be > 0"
         )
-    n_cut = 1000
-    total = _partial_sum(spec, n_cut + 1)
-    # Fit tail coefficients at geometrically spaced n (Richardson-style).
-    n_fit = [n_cut * 2**m for m in range(6)]
-    rhs = np.array(
-        [_term_at(spec, float(nm)) * cmath.exp((1.0 + alpha) * math.log(nm)) for nm in n_fit]
+    # The Stirling nodes need n >> |p|; beyond the Erdelyi disk a |log z| <= 2
+    # the Lerch asymptotic needs a |log z| >= 36.
+    n_cut = max(_N_CUT, math.ceil(32.0 * max(map(abs, spec.upper + spec.lower))))
+    if (n_cut + 1) * abs(log_z) > 2.0:
+        n_cut = max(n_cut, math.ceil(36.0 / abs(log_z)))
+    total, abs_sum = _partial_sum(spec, n_cut + 1)
+    nodes = [n_cut * 2**m for m in range(_FIT_TERMS + 1)]
+    rhs = _scaled_terms(spec, nodes)
+    vand = np.array([[(1.0 / n) ** j for j in range(_FIT_TERMS)] for n in nodes])
+    sums = _power_tails(alpha, n_cut + 1.0, log_z)
+    tail, tail_alt = (
+        complex(np.linalg.solve(vand[lo : lo + _FIT_TERMS], rhs[lo : lo + _FIT_TERMS]) @ sums)
+        for lo in (0, 1)
     )
-    vand = np.array([[(1.0 / nm) ** j for j in range(6)] for nm in n_fit])
-    coef = np.linalg.solve(vand, rhs)
-
-    def tail_sum(sigma: complex) -> complex:
-        # sum_{n > n_cut} z^n n^{-sigma}; not at the caller's mp.dps.
-        with mpmath.workdps(30):
-            if at_one:
-                return complex(mpmath.zeta(complex(sigma), n_cut + 1))
-            return complex(
-                mpmath.lerchphi(complex(z), complex(sigma), n_cut + 1)
-            ) * complex(z) ** (n_cut + 1)
-
-    tail = 0.0 + 0.0j
-    for j, c in enumerate(coef):
-        tail += complex(c) * tail_sum(1.0 + alpha + j)
-    err = (
-        abs(coef[-1]) * abs(tail_sum(1.0 + alpha.real + 5)) * 1e-2
-        + 1e-15 * abs(total + tail)
-    )
-    return EvalResult(total + tail, max(err, 2e-13 * abs(total + tail), 1e-15), Method.CLOSED_FORM)
+    err = abs(tail - tail_alt) + ROUNDING * (abs_sum + abs(tail))
+    return EvalResult(total + tail, err, Method.CLOSED_FORM)
 
 
 def pfq(spec: SeriesSpec) -> EvalResult:
@@ -169,7 +273,7 @@ def pfq(spec: SeriesSpec) -> EvalResult:
     """
     m_stop = _termination_order(spec)
     if m_stop is not None:
-        val = _partial_sum(spec, m_stop + 1)
+        val, _ = _partial_sum(spec, m_stop + 1)
         return EvalResult(val, 1e-15 * (1.0 + abs(val)), Method.CLOSED_FORM)
     az = abs(spec.argument)
     if az > 1.0 + 1e-14:
@@ -181,31 +285,31 @@ def pfq(spec: SeriesSpec) -> EvalResult:
     rho = 0.5 * (1.0 + az)  # majorant of the term ratio beyond the transient
     terms = _terms(spec)
     total = next(terms)
-    prev = abs(total)
-    n = 1
-    for term in terms:
-        if term == 0.0:
+    prev = abs_sum = abs(total)
+    for n, term in enumerate(itertools.islice(terms, _MAX_TERMS), 1):
+        cur = abs(term)
+        if cur == 0.0:
             return EvalResult(total, 1e-15 * (1.0 + abs(total)), Method.CLOSED_FORM)
+        abs_sum += cur
         # The ratio tends to |z| < rho; once it is actually below rho the
         # geometric majorant bounds the whole tail.
-        cur = abs(term)
-        if n > 4 and prev > 0 and cur <= rho * prev:
+        if n > 4 and cur <= rho * prev:
             bound = cur * rho / (1.0 - rho)
             if bound < _TOL:
-                return EvalResult(
-                    total + term, bound + 1e-15 * abs(total), Method.CLOSED_FORM
-                )
+                # Rounding: each step loses up to eps |total|, and the last
+                # ~1/(1 - rho) terms sit near or below that level, where
+                # they are lost one-sidedly.
+                err = bound + 1e-15 * abs(total) + ROUNDING * abs_sum / (1.0 - rho)
+                return EvalResult(total + term, err, Method.CLOSED_FORM)
         total += term
         prev = cur
-        n += 1
-        if n > _MAX_TERMS:
-            raise ConvergenceError("pFq: series did not converge within the term budget")
+    raise ConvergenceError("pFq: series did not converge within the term budget")
 
 
-def family_spec(r: int, s: complex, w: complex) -> SeriesSpec:
+def family_spec(r: int, s: complex, w: complex, log_w: complex | None = None) -> SeriesSpec:
     """The light-regime series (-s/2, (1-s)/2, 1/2...; 1...; w) of order r+1."""
     upper = (-s / 2.0, (1.0 - complex(s)) / 2.0) + ((0.5 + 0.0j),) * (r - 1)
-    return SeriesSpec(upper, ((1.0 + 0.0j),) * r, w)
+    return SeriesSpec(upper, ((1.0 + 0.0j),) * r, w, log_w)
 
 
 _DETOUR = 0.25
@@ -251,7 +355,7 @@ def pfq_continued(r: int, s: complex, w: float, branch: ContinuationBranch) -> E
     spec = family_spec(r, s, w)
     m_stop = _termination_order(spec)
     if m_stop is not None:
-        val = _partial_sum(spec, m_stop + 1)
+        val, _ = _partial_sum(spec, m_stop + 1)
         return EvalResult(val, 1e-14 * (1.0 + abs(val)), Method.CLOSED_FORM)
     if abs(w - 1.0) < 10 * _ODE_ATOL:
         raise DomainError("pfq_continued: argument pinned at the singularity z = 1")

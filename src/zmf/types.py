@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-# Half-width of the band |k| = 2^r treated as the regime boundary.
-BOUNDARY_TOL = 1e-12
+# Rounding error of a floating-point sum or of exp(x), relative to the sum of
+# the magnitudes of its terms (a few units in the last place).
+ROUNDING = 4.0 * 2.0**-52
 
 
 def check_finite(k: float, s: complex) -> None:
@@ -64,7 +65,7 @@ class ZmfPoint:
     def regime(self) -> Regime:
         edge = float(2**self.r)
         ak = abs(self.k)
-        if abs(ak - edge) <= BOUNDARY_TOL:
+        if ak == edge:
             return Regime.BOUNDARY
         return Regime.LIGHT if ak > edge else Regime.HEAVY
 

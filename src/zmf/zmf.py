@@ -4,7 +4,7 @@ over the unit torus.
 Coverage map (dispatcher `w`):
 
     |k| > 2^r   any r, any s        hypergeometric series (w_light)
-    |k| = 2^r   any r, Re s > -r/2  unit-argument series (w_light)
+    |k| = 2^r   any r, Re s > -r/2  unit-argument series (w_light), exact k only
     |k| < 2^r   r = 1               three-case closed form (w1)
                 r = 2               two-term 3F2 combination (w2 / w2_odd)
                 r = 3               three-term formula with a Meijer G (w3)
@@ -33,7 +33,7 @@ from .hyper import (
     pfq_continued,
 )
 from .meijer import meijer_mb, w2_g_spec, w3_g_spec
-from .types import BOUNDARY_TOL, EvalResult, Method, ZmfPoint, check_finite
+from .types import ROUNDING, EvalResult, Method, ZmfPoint, check_finite
 
 # Frozen calibration: continuing the family series to w = 4^r/k^2 > 1 through
 # the lower half w-plane reproduces the torus integral (the boundary value
@@ -43,6 +43,17 @@ CONTINUATION_BRANCH = ContinuationBranch.FROM_BELOW
 
 _ODD_TOL = 1e-6
 _ODD_LIMIT_DELTAS = (1e-2, 5e-3, 2.5e-3)
+# Distance below which s counts as an integer (the W_1 pole test) and an
+# imaginary part below which s or z counts as real.
+_PARAM_TOL = 1e-12
+
+
+def _edge_log(r: int, k: float):
+    """log(k^2 / 4^r) from the exact distance k - 2^r, so that the
+    near-unit series sees the |k - 2^r|^(s + r/2) cusp without the rounding
+    of k^2 / 4^r; None at k = 0."""
+    edge = 2.0**r
+    return 2.0 * math.log1p((k - edge) / edge) if k > 0.0 else None
 
 
 def _near_odd_positive(s: complex):
@@ -60,11 +71,11 @@ def w1(k: float, s: complex) -> EvalResult:
     k = abs(float(k))
     s = complex(s)
     check_finite(k, s)
-    if k > 2.0 + BOUNDARY_TOL:
-        f = pfq(SeriesSpec((-s / 2, (1 - s) / 2), (1.0,), 4.0 / (k * k)))
+    if k > 2.0:
+        f = pfq(SeriesSpec((-s / 2, (1 - s) / 2), (1.0,), 4.0 / (k * k), -_edge_log(1, k)))
         val = cpow(k, s) * f.value
         return EvalResult(val, abs(cpow(k, s)) * f.abs_err, Method.CLOSED_FORM)
-    if abs(k - 2.0) <= BOUNDARY_TOL:
+    if k == 2.0:
         if s.real <= -0.5:
             raise DomainError("W_1 at |k| = 2 requires Re(s) > -1/2")
         val = cmath.exp(
@@ -75,7 +86,7 @@ def w1(k: float, s: complex) -> EvalResult:
         )
         return EvalResult(val, 1e-14 * (1.0 + abs(val)), Method.CLOSED_FORM)
     # |k| < 2: prefactor 4^s Gamma((1+s)/2)^2 / (pi Gamma(1+s)) in log space.
-    n = nearest_int(s, BOUNDARY_TOL)
+    n = nearest_int(s, _PARAM_TOL)
     if n is not None and n <= -1:
         if n % 2 != 0:
             # Double pole of Gamma((1+s)/2)^2 against a single pole of
@@ -84,14 +95,17 @@ def w1(k: float, s: complex) -> EvalResult:
         # Even negative integer: only the denominator Gamma(1+s) is singular,
         # so the prefactor (and W_1) vanishes.
         return EvalResult(0.0 + 0.0j, 1e-16, Method.CLOSED_FORM)
-    f = pfq(SeriesSpec((-s / 2, -s / 2), (0.5,), k * k / 4.0))
-    pref = cmath.exp(
-        s * math.log(4.0)
-        + 2.0 * log_gamma((1.0 + s) / 2)
-        - math.log(math.pi)
-        - log_gamma(1.0 + s)
+    f = pfq(SeriesSpec((-s / 2, -s / 2), (0.5,), k * k / 4.0, _edge_log(1, k)))
+    parts = (
+        s * math.log(4.0),
+        2.0 * log_gamma((1.0 + s) / 2),
+        -math.log(math.pi),
+        -log_gamma(1.0 + s),
     )
-    return EvalResult(pref * f.value, abs(pref) * f.abs_err + 1e-15 * abs(pref * f.value), Method.CLOSED_FORM)
+    pref = cmath.exp(sum(parts))
+    val = pref * f.value
+    err = abs(pref) * f.abs_err + (1e-15 + ROUNDING * sum(map(abs, parts))) * abs(val)
+    return EvalResult(val, err, Method.CLOSED_FORM)
 
 
 def w_light(r: int, k: float, s: complex) -> EvalResult:
@@ -101,17 +115,18 @@ def w_light(r: int, k: float, s: complex) -> EvalResult:
     s = complex(s)
     check_finite(k, s)
     edge = 2.0**r
-    if k < edge - BOUNDARY_TOL:
+    if k < edge:
         raise DomainError("w_light requires |k| >= 2^r")
-    if abs(k - edge) <= BOUNDARY_TOL:
+    if k == edge:
         if s.real <= -r / 2.0:
             raise DomainError("boundary |k| = 2^r requires Re(s) > -r/2")
         f = pfq(family_spec(r, s, 1.0))
-        scale = cmath.exp(r * s * math.log(2.0))
     else:
-        f = pfq(family_spec(r, s, 4.0**r / (k * k)))
-        scale = cpow(k, s)
-    return EvalResult(scale * f.value, abs(scale) * f.abs_err, Method.CLOSED_FORM)
+        f = pfq(family_spec(r, s, 4.0**r / (k * k), -_edge_log(r, k)))
+    log_scale = s * math.log(k)
+    scale = cmath.exp(log_scale)
+    err = abs(scale) * (f.abs_err + ROUNDING * (1.0 + abs(log_scale)) * abs(f.value))
+    return EvalResult(scale * f.value, err, Method.CLOSED_FORM)
 
 
 def w_real_s(r: int, k: float, s: float) -> EvalResult:
@@ -166,13 +181,13 @@ def w2(k: float, s: complex) -> EvalResult:
         raise NearDegenerateParameterError(
             "s within 1e-6 of an odd positive integer; dispatch to w2_odd"
         )
-    z = k * k / 16.0
-    f2 = pfq(SeriesSpec((-s / 2, -s / 2, -s / 2), ((1 - s) / 2, 0.5), z))
+    z, log_z = k * k / 16.0, _edge_log(2, k)
+    f2 = pfq(SeriesSpec((-s / 2, -s / 2, -s / 2), ((1 - s) / 2, 0.5), z, log_z))
     pref2 = cmath.exp(2.0 * log_gamma(s + 1.0) - 4.0 * log_gamma(s / 2 + 1.0))
     total = pref2 * f2.value
     err = abs(pref2) * f2.abs_err
     if k > 0.0:
-        f1 = pfq(SeriesSpec((0.5, 0.5, 0.5), (1 + s / 2, 1.5 + s / 2), z))
+        f1 = pfq(SeriesSpec((0.5, 0.5, 0.5), (1 + s / 2, 1.5 + s / 2), z, log_z))
         pref1 = (
             _tan_half_pi(s) / (2.0 * math.pi * (s + 1.0)) * cpow(k, 1.0 + s)
         )
@@ -252,16 +267,14 @@ def w3(k: float, s: complex) -> EvalResult:
         raise NearDegenerateParameterError(
             "s within 1e-6 of an odd positive integer; use the odd-limit route"
         )
-    z = k * k / 64.0
-    f1 = pfq(
-        SeriesSpec((-s / 2,) * 4, ((1 - s) / 2, (1 - s) / 2, 0.5), z)
-    )
+    z, log_z = k * k / 64.0, _edge_log(3, k)
+    f1 = pfq(SeriesSpec((-s / 2,) * 4, ((1 - s) / 2, (1 - s) / 2, 0.5), z, log_z))
     pref1 = cmath.exp(3.0 * log_gamma(1.0 + s) - 6.0 * log_gamma(1.0 + s / 2))
     total = pref1 * f1.value
     err = abs(pref1) * f1.abs_err
     if k > 0.0:
         t = _tan_half_pi(s)
-        f2 = pfq(SeriesSpec((0.5,) * 4, (1.0, 1 + s / 2, (3 + s) / 2), z))
+        f2 = pfq(SeriesSpec((0.5,) * 4, (1.0, 1 + s / 2, (3 + s) / 2), z, log_z))
         pref2 = -t * t / (4.0 * math.pi * (s + 1.0)) * cpow(k, 1.0 + s)
         total += pref2 * f2.value
         err += abs(pref2) * f2.abs_err
@@ -286,16 +299,17 @@ def f_rs(r: int, s: complex, z: complex) -> EvalResult:
     edge = 2.0**r
     if z == 0:
         raise DomainError("F_{r,s} is singular at z = 0")
-    if abs(z) > edge + BOUNDARY_TOL:
-        f = pfq(family_spec(r, s, 4.0**r / (z * z)))
+    if abs(z) > edge:
+        log_w = -_edge_log(r, abs(z.real)) if z.imag == 0 else None
+        f = pfq(family_spec(r, s, 4.0**r / (z * z), log_w))
         scale = cpow(z, s)
         return EvalResult(scale * f.value, abs(scale) * f.abs_err, Method.CLOSED_FORM)
-    if abs(z.imag) > BOUNDARY_TOL:
+    if abs(z.imag) > _PARAM_TOL:
         raise DomainError(
             "F_{r,s} inside the disk |z| <= 2^r is only supported for real z"
         )
     x = z.real
-    if abs(abs(x) - edge) <= BOUNDARY_TOL:
+    if abs(x) == edge:
         if s.real <= -r / 2.0:
             raise DomainError("F_{r,s} at |z| = 2^r requires Re(s) > -r/2")
         f = pfq(family_spec(r, s, 1.0))
@@ -409,7 +423,7 @@ def w(r: int, k: float, s: complex, method: str | None = None) -> EvalResult:
     k = abs(float(k))
     s = complex(s)
     edge = 2.0**r
-    if k >= edge - BOUNDARY_TOL:
+    if k >= edge:
         return w_light(r, k, s)
     if k == 0.0:
         return _w_zero(r, s)
@@ -426,7 +440,7 @@ def w(r: int, k: float, s: complex, method: str | None = None) -> EvalResult:
             return lim
         return w3(k, s)
     if r == 4:
-        if abs(s.imag) <= BOUNDARY_TOL and s.real > 0:
+        if abs(s.imag) <= _PARAM_TOL and s.real > 0:
             return w_real_s(r, k, s.real)
         raise DomainError(
             "heavy regime at r = 4 is supported for real s > 0 only"

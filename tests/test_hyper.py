@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import pytest
 from scipy.special import hyp2f1
@@ -6,6 +8,8 @@ from zmf.errors import DomainError
 from zmf.hyper import (
     ContinuationBranch,
     SeriesSpec,
+    _hurwitz,
+    _power_tails,
     _series_theta_derivatives,
     family_spec,
     pfq,
@@ -105,3 +109,61 @@ def test_continuation_against_2f1_continuation():
     a, b = -s / 2.0, (1.0 - s) / 2.0
     want = complex(mpmath.hyp2f1(a, b, 1.0, mpmath.mpc(1.8, -1e-20)))
     assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_hyper_and_zmf_do_not_bind_mpmath():
+    # The near-unit tail is plain numpy; mpmath is left to PSLQ and the tests.
+    import zmf.hyper
+    import zmf.zmf
+
+    assert not hasattr(zmf.hyper, "mpmath")
+    assert not hasattr(zmf.zmf, "mpmath")
+
+
+@pytest.mark.parametrize(
+    "sigma", [1.0001 + 5j, 1.5, 2.0, 3.7 - 2j, 15.0 - 5j, -2.5 + 1j, -7.0]
+)
+def test_hurwitz_euler_maclaurin(sigma):
+    # 30-digit mpmath is 2.5% off at sigma = 12 + 5i, so compare at 80 digits.
+    a = 1001.0
+    with mpmath.workdps(80):
+        want = complex(mpmath.zeta(mpmath.mpc(sigma), a))
+    assert complex(_hurwitz(sigma, a)) == pytest.approx(want, rel=1e-14)
+
+
+_ALPHAS = (0.3 + 0.2j, 1.0, 2.0 + 1e-7, 3.0 - 4e-3, -0.004)
+_LOG_ZS = (0.0, -1e-13, -9.9e-4, complex(-1e-4, 5e-4), complex(-5e-4, math.pi), complex(-1e-3, 0.5))
+
+
+# At z = 1 only Re alpha > 0 converges.
+@pytest.mark.parametrize(
+    "alpha, log_z",
+    [(a, lz) for a in _ALPHAS for lz in _LOG_ZS if lz != 0 or complex(a).real > 0],
+)
+def test_power_tails_against_lerch(alpha, log_z):
+    # sum_{n >= a} z^n n^-sigma = z^a Phi(z, sigma, a), at sigma = 1 + alpha + j.
+    # The near-integer alphas exercise the combined pole pair, alpha = 1 its
+    # log form; Im log z = pi is the z -> -1 rim.
+    a = 1001.0 if abs(log_z) * 1001 <= 2 else max(1001.0, math.ceil(36 / abs(log_z)) + 1.0)
+    got = _power_tails(complex(alpha), a, complex(log_z))
+    # z^a = e^(a log z) carries the rounding of a log z.
+    rel = 1e-13 + 8 * 2.0**-52 * a * abs(log_z)
+    with mpmath.workdps(40):
+        z = mpmath.exp(mpmath.mpc(log_z))
+        for j in (0, 1, len(got) - 1):
+            g, sigma = got[j], 1 + mpmath.mpc(alpha) + j
+            if log_z == 0:
+                want = mpmath.zeta(sigma, a)
+            else:
+                want = z**a * mpmath.lerchphi(z, sigma, a)
+            assert g == pytest.approx(complex(want), rel=rel, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "upper, lower, z",
+    [((60.3, 0.4), (59.9,), 0.9999), ((30.2, 0.5), (31.1,), 1.0)],
+)
+def test_near_unit_large_parameters(upper, lower, z):
+    # The Stirling fit nodes need n >> |p|, so the direct sum runs to 32 |p|.
+    res = pfq(SeriesSpec(upper, lower, z))
+    assert abs(res.value - mp_ref(upper, lower, z)) <= res.abs_err

@@ -5,9 +5,10 @@ import mpmath
 import pytest
 
 import zmf.zmf as zmf_module
-from zmf.errors import DomainError, PoleError
-from zmf.meijer import meijer_triple_integral
-from zmf.types import QuadratureConfig
+from zmf.errors import DomainError, PoleError, ZmfError
+from zmf.meijer import meijer_mb, meijer_triple_integral, w3_g_spec
+from zmf.oracle import torus_quadrature
+from zmf.types import QuadratureConfig, Regime, ZmfPoint
 from zmf.zmf import (
     boundary_derivative_check,
     f_rs,
@@ -82,7 +83,8 @@ class TestLightAndBoundary:
 
     def test_near_unit_ignores_global_mp_precision(self):
         # The near-unit tail sum used to run at the caller's mp.dps: at the
-        # default 15 digits this point was 1.7e-10 off.
+        # default 15 digits this point was 1.7e-10 off.  Later it was 5.3e-12
+        # off with abs_err 1.7e-12, while the tail error was a fudge.
         runs = []
         for dps in (15, 50):
             with mpmath.workdps(dps):
@@ -92,6 +94,7 @@ class TestLightAndBoundary:
             k, s = mpmath.mpf(4.001), mpmath.mpf(-0.5)
             want = complex(k**s * mpmath.hyper([-s / 2, (1 - s) / 2, 0.5], [1, 1], 16 / k**2))
         assert abs(runs[0].value - want) < 1e-11
+        assert abs(runs[0].value - want) <= runs[0].abs_err
 
 
 class TestHeavyClosedForms:
@@ -249,3 +252,91 @@ class TestTypes:
     def test_quadrature_tol_checked(self, tol):
         with pytest.raises(ValueError):
             QuadratureConfig(tol=tol)
+
+
+def _mp_w1(k, s):
+    """W_1(k;s) from the three-case closed form in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        k, s = mpmath.mpf(k), mpmath.mpmathify(s)
+        if k > 2:
+            val = k**s * mpmath.hyp2f1(-s / 2, (1 - s) / 2, 1, 4 / k**2)
+        else:
+            pref = mpmath.power(4, s) * mpmath.gamma((1 + s) / 2) ** 2 / (
+                mpmath.pi * mpmath.gamma(1 + s)
+            )
+            val = pref * mpmath.hyp2f1(-s / 2, -s / 2, 0.5, k**2 / 4)
+        return complex(val)
+
+
+class TestNearBoundary:
+    """The regime is the exact sign of |k| - 2^r: no band moves a nearby k
+    onto the boundary, and the near-unit series keeps the |k - 2^r|^(s + r/2)
+    cusp."""
+
+    @pytest.mark.parametrize("k, want", [(2.0 - 1e-13, 2.0206154), (2.0 + 1e-13, 2.0019909)])
+    def test_r1_cusp_against_torus(self, k, want):
+        # Both sides returned the boundary value 2.0700983.
+        res = w(1, k, -0.4)
+        ref = torus_quadrature(ZmfPoint(1, k, -0.4), QuadratureConfig(tol=1e-12))
+        assert abs(res.value - ref.value) <= res.abs_err + ref.abs_err
+        assert res.value.real == pytest.approx(want, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "r, k, s, tol", [(1, 2.0 - 1e-12, -0.4, 1e-12), (2, 4.0 - 1e-12, 1.5, 1e-10)]
+    )
+    def test_just_below_edge_is_finite(self, r, k, s, tol):
+        # Both raised DomainError: pFq series diverges for |z| > 1.
+        res = w(r, k, s)
+        ref = torus_quadrature(ZmfPoint(r, k, s), QuadratureConfig(tol=tol))
+        assert cmath.isfinite(res.value)
+        assert abs(res.value - ref.value) <= res.abs_err + ref.abs_err
+
+    @pytest.mark.parametrize("k", [2.0 + 1e-9, 2.0 - 1e-7])
+    def test_cusp_takes_log_z_from_the_exact_distance(self, k):
+        # log z from the rounded k^2/4 or 4/k^2 was 1e-11 off here.
+        res = w(1, k, -0.4)
+        assert abs(res.value - _mp_w1(k, -0.4)) <= res.abs_err
+
+    def test_regime_is_the_exact_sign(self):
+        assert ZmfPoint(1, 2.0 - 1e-13, 0.5).regime is Regime.HEAVY
+        assert ZmfPoint(1, 2.0, 0.5).regime is Regime.BOUNDARY
+        assert ZmfPoint(1, 2.0 + 1e-13, 0.5).regime is Regime.LIGHT
+
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 0.5 + 1j, -0.45 + 3j, 1.5 - 2j])
+    def test_unit_argument_series_matches_gamma_form(self, s):
+        # w1 at |k| = 2 is 2^s Gamma(1/2 + s) / (Gamma(1 + s/2) Gamma((1 + s)/2));
+        # w_light sums the same value as the 2F1 series at z = 1.
+        series = w_light(1, 2.0, s)
+        closed = w1(2.0, s)
+        assert abs(series.value - closed.value) <= series.abs_err + closed.abs_err
+
+    @pytest.mark.parametrize("k, s", [(2.0 - 1e-9, 0.5), (2.0 + 1e-9, 1.5)])
+    @pytest.mark.parametrize("ds", [0.0, 1e-7])
+    def test_integer_sigma_next_to_edge(self, k, s, ds):
+        # sigma = 3/2 + s is the integer 2 (heavy side) or 3 (light side): the
+        # tail takes its log form at ds = 0 and the combined pole pair at 1e-7.
+        res = w(1, k, s + ds)
+        want = _mp_w1(k, s + ds)
+        assert abs(res.value - want) <= res.abs_err
+        assert res.value == pytest.approx(want, rel=1e-13)
+
+    def test_pfq_error_bar_covers_rounding(self):
+        # sum |t_n| is 1.7e5 against |F| = 0.085; the error bar covered the
+        # truncation only, and the true error was 17.6 times it.
+        s = complex(-0.5, 10.14)
+        res = w(1, 1.87, s)
+        assert abs(res.value - _mp_w1(1.87, s)) <= res.abs_err
+
+    def test_r3_meijer_term_just_below_edge(self):
+        # Just below k = 8 the G block is still within its abs_err of the
+        # independent triple integral, so w3 needs no refusal there.
+        for s in (0.5, 2.5 + 1j, -0.9):
+            g = meijer_mb(w3_g_spec(s, 8.0 - 1e-13))
+            ti = meijer_triple_integral(s, 8.0 - 1e-13, tol=1e-12)
+            assert abs(g.value - ti.value) <= g.abs_err
+        assert cmath.isfinite(w(3, 8.0 - 1e-13, 0.5).value)
+
+    def test_r4_just_below_edge_raises_typed_error(self):
+        # The continuation ODE cannot start at its singular point z = 1.
+        with pytest.raises(ZmfError):
+            w(4, 16.0 - 1e-13, 1.5)
