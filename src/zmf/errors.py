@@ -22,9 +22,9 @@ class EdgeSingularityError(ZmfError):
 
 
 class NearDegenerateParameterError(ZmfError):
-    """Parameters too close to a degenerate configuration (e.g. s near an odd
-    integer where tan(pi*s/2) blows up); the caller must use the dedicated
-    limit formula instead."""
+    """Parameters too close to a degenerate configuration (e.g. the real-s
+    continuation within 1e-6 of an odd s, where tan(pi*s/2) blows up; w2 and
+    w3 take a circle in s there instead)."""
 
 
 class ContourError(ZmfError):

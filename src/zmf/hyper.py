@@ -350,7 +350,7 @@ def pfq_continued(r: int, s: complex, w: float, branch: ContinuationBranch) -> E
         m = round((s.real - 1.0) / 2.0)
         if m >= 0 and abs(s.real - (2 * m + 1)) < 1e-6 and w > 1.0:
             raise NearDegenerateParameterError(
-                "s within 1e-6 of an odd positive integer; use the limit formulas"
+                "s within 1e-6 of an odd positive integer, where the continuation is 0/0"
             )
     spec = family_spec(r, s, w)
     m_stop = _termination_order(spec)

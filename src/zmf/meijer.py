@@ -10,11 +10,12 @@ Mellin-Barnes convention:
       / [prod_{j>m} Gamma(1 - b_j + t) prod_{i>n} Gamma(a_i - t)] z^t dt,
 
 with C a vertical line separating the poles of Gamma(b_j - t) (right family)
-from those of Gamma(1 - a_i + t) (left family).  When no straight line
-separates the families (the odd-integer W_2 case, where half-integer left
-poles interleave with integer right poles) the contour is indented: a line
-left of the right family plus explicit residue corrections at the left poles
-it strands on the wrong side.
+from those of Gamma(1 - a_i + t) (left family); the line is read off the
+parameters, between max Re a_i - 1 and min Re b_j.  Only w2_odd, the
+odd-integer W_2 formula, meets families that no straight line separates
+(half-integer left poles interleave with integer right poles); there the
+contour is indented: a line left of the right family plus explicit residue
+corrections at the left poles it strands on the wrong side.
 
 On the line the integrand is analytic in a strip as wide as the distance to
 the nearest pole and decays like exp(-2 pi |Im t|), so the plain trapezoid
@@ -136,20 +137,23 @@ def _residue(f, pole: complex) -> complex:
 def meijer_mb(spec: MeijerSpec, tol: float = 1e-11) -> EvalResult:
     """Evaluate the G-function by its defining Mellin-Barnes integral, summed
     by the trapezoid rule on the line Re t = c (see the module docstring)."""
-    left, right = _pole_families(spec)
-    min_gap = float(np.min(np.abs(left[:, None] - right[None, :])))
-    if min_gap < _PINCH_TOL:
-        raise ContourError(
-            f"pole families coalesce (gap {min_gap:.2e}); contour is pinched"
-        )
-    lmax = float(np.max(left.real))
-    rmin = float(np.min(right.real))
-    residue_poles = []
+    m, n, _, _ = spec.orders
+    # Every left pole has Re <= lmax and every right pole Re >= rmin, so a
+    # positive gap rmin - lmax separates the families and rules out a pinch.
+    lmax = max(a.real for a in spec.a_params[:n]) - 1.0
+    rmin = min(b.real for b in spec.b_params[:m])
+    residue_poles = ()
     if rmin - lmax > _PINCH_TOL:
         c = 0.5 * (lmax + rmin)
     else:
         # No separating line: indent.  Put the line just left of the right
         # family and correct with residues at the stranded left poles.
+        left, right = _pole_families(spec)
+        min_gap = float(np.min(np.abs(left[:, None] - right[None, :])))
+        if min_gap < _PINCH_TOL:
+            raise ContourError(
+                f"pole families coalesce (gap {min_gap:.2e}); contour is pinched"
+            )
         c = rmin - 0.25
         re_all = np.concatenate((left.real, right.real))
         for shift in (0.0, -0.1, 0.1, -0.2):

@@ -25,7 +25,6 @@ class Method(str, enum.Enum):
     QUADRATURE = "quadrature"
     MONTE_CARLO = "monte-carlo"
     CONTOUR = "contour"
-    LIMIT = "limit"
 
 
 class Regime(str, enum.Enum):

@@ -6,10 +6,14 @@ Coverage map (dispatcher `w`):
     |k| > 2^r   any r, any s        hypergeometric series (w_light)
     |k| = 2^r   any r, Re s > -r/2  unit-argument series (w_light), exact k only
     |k| < 2^r   r = 1               three-case closed form (w1)
-                r = 2               two-term 3F2 combination (w2 / w2_odd)
+                r = 2               two-term 3F2 combination (w2)
                 r = 3               three-term formula with a Meijer G (w3)
                 r = 4, real s > 0   continuation formula (w_real_s)
                 k = 0, any r        product of one-factor moments
+
+At r = 2, 3 and s within 1/32 of an odd n >= 1, where the closed forms carry
+tan(pi s / 2) into a 0/0, w2 and w3 take a circle in s around n (_odd_limit);
+w2_odd, the paper's Meijer-G formula for W_2 at odd n, checks that circle.
 
 The heavy-regime formulas all analytically continue the same hypergeometric
 family past its z = 1 singularity; the continuation half-plane is fixed once
@@ -23,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NearDegenerateParameterError, PoleError
+from .errors import DomainError, PoleError
 from .gamma import cpow, log_gamma, nearest_int
 from .hyper import (
     ContinuationBranch,
@@ -41,8 +45,12 @@ from .types import ROUNDING, EvalResult, Method, ZmfPoint, check_finite
 # reverses the half-plane).  See the calibration test before changing.
 CONTINUATION_BRANCH = ContinuationBranch.FROM_BELOW
 
-_ODD_TOL = 1e-6
-_ODD_LIMIT_DELTAS = (1e-2, 5e-3, 2.5e-3)
+# Radius and node count of the circle |z - n| = rho around an odd n.  W_r(k;s)
+# is analytic in s for Re s > -1, so the trapezoid rule converges like
+# max(rho / 2, |s - n| / rho)^N; the circle serves |s - n| <= rho / 8, which
+# keeps every node outside that window.
+_ODD_RADIUS = 0.25
+_ODD_NODES = 16
 # Distance below which s counts as an integer (the W_1 pole test) and an
 # imaginary part below which s or z counts as real.
 _PARAM_TOL = 1e-12
@@ -56,10 +64,10 @@ def _edge_log(r: int, k: float):
     return 2.0 * math.log1p((k - edge) / edge) if k > 0.0 else None
 
 
-def _near_odd_positive(s: complex):
-    """Return the odd positive integer s is within 1e-6 of, else None."""
-    n = nearest_int(s, _ODD_TOL)
-    return n if n is not None and n >= 1 and n % 2 == 1 else None
+def _odd_center(s: complex):
+    """The odd integer n >= 1 with |s - n| <= rho / 8, else None."""
+    n = 2 * round((s.real - 1.0) / 2.0) + 1
+    return n if n >= 1 and abs(s - n) <= _ODD_RADIUS / 8 else None
 
 
 def _tan_half_pi(s: complex) -> complex:
@@ -141,10 +149,6 @@ def w_real_s(r: int, k: float, s: float) -> EvalResult:
         raise DomainError("w_real_s requires 0 < |k| < 2^r")
     if s <= 0.0:
         raise DomainError("w_real_s requires real s > 0")
-    if _near_odd_positive(s) is not None:
-        raise NearDegenerateParameterError(
-            "s within 1e-6 of an odd integer; use the limit formulas"
-        )
     f = pfq_continued(r, s, 4.0**r / (k * k), CONTINUATION_BRANCH)
     t = math.tan(0.5 * math.pi * s)
     val = k**s * (f.value.real + t * f.value.imag)
@@ -169,7 +173,7 @@ def _w_zero(r: int, s: complex) -> EvalResult:
 
 
 def w2(k: float, s: complex) -> EvalResult:
-    """W_2(k;s) for |k| < 4, Re(s) > -1, s away from the odd integers."""
+    """W_2(k;s) for |k| < 4, Re(s) > -1; near an odd s, by the circle."""
     k = abs(float(k))
     s = complex(s)
     check_finite(k, s)
@@ -177,10 +181,9 @@ def w2(k: float, s: complex) -> EvalResult:
         raise DomainError("w2 requires |k| < 4")
     if s.real <= -1.0:
         raise DomainError("w2 requires Re(s) > -1")
-    if _near_odd_positive(s) is not None:
-        raise NearDegenerateParameterError(
-            "s within 1e-6 of an odd positive integer; dispatch to w2_odd"
-        )
+    n = _odd_center(s)
+    if k > 0.0 and n is not None:
+        return _odd_limit(lambda z: w2(k, z), n, s)
     z, log_z = k * k / 16.0, _edge_log(2, k)
     f2 = pfq(SeriesSpec((-s / 2, -s / 2, -s / 2), ((1 - s) / 2, 0.5), z, log_z))
     pref2 = cmath.exp(2.0 * log_gamma(s + 1.0) - 4.0 * log_gamma(s / 2 + 1.0))
@@ -196,37 +199,39 @@ def w2(k: float, s: complex) -> EvalResult:
     return EvalResult(total, err + 1e-14 * (1.0 + abs(total)), Method.CLOSED_FORM)
 
 
-def _neville_to_zero(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to x = 0; returns (value, err)."""
-    n = len(xs)
-    tab = list(ys)
-    prev_top = tab[0]
-    err = float("inf")
-    for m in range(1, n):
-        for i in range(n - m):
-            tab[i] = tab[i + 1] + (tab[i] - tab[i + 1]) * (0.0 - xs[i + m]) / (
-                xs[i] - xs[i + m]
-            )
-        err = abs(tab[0] - prev_top)
-        prev_top = tab[0]
-    return tab[0], err
+def _odd_limit(fn, n: int, s: complex) -> EvalResult:
+    """fn(s) for s near the odd integer n by the trapezoid rule for Cauchy's
+    integral on |z - n| = rho (Trefethen and Weideman, SIAM Rev. 56 (2014);
+    Bornemann, Found. Comput. Math. 11 (2011)):
 
+        fn(s) ~ (1/N) sum_j fn(z_j) (z_j - n) / (z_j - s).
 
-def _odd_limit(fn, n: int) -> EvalResult:
-    """lim_{delta->0} fn(n + i delta), Richardson/Neville extrapolated."""
-    xs = list(_ODD_LIMIT_DELTAS)
-    ys = [fn(complex(n, d)).value for d in xs]
-    val, err = _neville_to_zero(xs, ys)
-    return EvalResult(complex(val.real), max(err, 1e-12), Method.LIMIT)
+    fn is W_r at a real k, so fn(conj z) = conj fn(z) and only the upper half
+    circle is evaluated.  Halving N squares the relative error, so the error
+    estimate is the squared relative gap to the N/2-node sum, times the
+    value, plus the nodes' abs_err through the weights and a rounding floor.
+    """
+    half = _ODD_NODES // 2
+    upper = [_ODD_RADIUS * cmath.exp(1j * math.pi * j / half) for j in range(half + 1)]
+    res = [fn(n + u) for u in upper]
+    low = slice(half - 1, 0, -1)  # nodes half + 1 .. N - 1 mirror these
+    nodes = upper + [u.conjugate() for u in upper[low]]
+    vals = [r.value for r in res] + [r.value.conjugate() for r in res[low]]
+    errs = [r.abs_err for r in res + res[low]]
+    weights = [u / (u - (s - n)) for u in nodes]
+    terms = [v * wt for v, wt in zip(vals, weights)]
+    fine = sum(terms) / _ODD_NODES
+    gap = abs(fine - sum(terms[::2]) / half)
+    noise = sum(e * abs(wt) + ROUNDING * abs(t) for e, wt, t in zip(errs, weights, terms))
+    return EvalResult(fine, gap * gap / abs(fine) + noise / _ODD_NODES, Method.CONTOUR)
 
 
 def w2_odd(k: float, n: int) -> EvalResult:
     """W_2(k;n) at odd positive n, |k| < 4.
 
-    The value is the explicit Meijer-G expression, whose contour sum is
-    accurate to ~1e-14.  The i*delta limit of the generic formula,
-    extrapolated to delta = 0, is the cross-check: the two must agree, and
-    their gap (the limit's own error, ~1e-10) is the reported error.
+    The value is the paper's explicit Meijer-G expression, summed on an
+    indented Mellin-Barnes contour.  It shares no code with the circle that
+    w2 takes near odd s, so each checks the other.
     """
     k = abs(float(k))
     if not (isinstance(n, int) and n >= 1 and n % 2 == 1):
@@ -235,23 +240,15 @@ def w2_odd(k: float, n: int) -> EvalResult:
         raise DomainError("w2_odd requires |k| < 4")
     if k == 0.0:
         return _w_zero(2, n)
-    lim = _odd_limit(lambda s: w2(k, s), n)
     g = meijer_mb(w2_g_spec(n, k))
     pref = (-1.0) ** ((n + 1) // 2) * 2.0**n * math.factorial(n) / math.pi**3
     alt = pref * g.value
-    gap = abs(lim.value - alt)
-    if gap > max(1e-6, 100.0 * (lim.abs_err + abs(pref) * g.abs_err)):
-        raise NearDegenerateParameterError(
-            f"w2_odd: limit and Meijer routes disagree by {gap:.2e}"
-        )
     # W_2 is real at real k and s; the imaginary part is contour rounding.
-    return EvalResult(
-        complex(alt.real), max(gap, abs(pref) * g.abs_err, 1e-12), Method.CONTOUR
-    )
+    return EvalResult(complex(alt.real), abs(pref) * g.abs_err, Method.CONTOUR)
 
 
 def w3(k: float, s: complex) -> EvalResult:
-    """W_3(k;s) for |k| < 8, Re(s) > -1, s away from odd positive integers.
+    """W_3(k;s) for |k| < 8, Re(s) > -1; near an odd s, by the circle.
 
     The Meijer-G term is evaluated by its Mellin-Barnes contour;
     meijer_triple_integral is the independent check of that route.
@@ -263,10 +260,9 @@ def w3(k: float, s: complex) -> EvalResult:
         raise DomainError("w3 requires |k| < 8")
     if s.real <= -1.0:
         raise DomainError("w3 requires Re(s) > -1")
-    if _near_odd_positive(s) is not None:
-        raise NearDegenerateParameterError(
-            "s within 1e-6 of an odd positive integer; use the odd-limit route"
-        )
+    n = _odd_center(s)
+    if k > 0.0 and n is not None:
+        return _odd_limit(lambda z: w3(k, z), n, s)
     z, log_z = k * k / 64.0, _edge_log(3, k)
     f1 = pfq(SeriesSpec((-s / 2,) * 4, ((1 - s) / 2, (1 - s) / 2, 0.5), z, log_z))
     pref1 = cmath.exp(3.0 * log_gamma(1.0 + s) - 6.0 * log_gamma(1.0 + s / 2))
@@ -429,15 +425,9 @@ def w(r: int, k: float, s: complex, method: str | None = None) -> EvalResult:
         return _w_zero(r, s)
     if r == 1:
         return w1(k, s)
-    n = _near_odd_positive(s)
     if r == 2:
-        if n is not None:
-            return w2_odd(k, n)
         return w2(k, s)
     if r == 3:
-        if n is not None:
-            lim = _odd_limit(lambda sv: w3(k, sv), n)
-            return lim
         return w3(k, s)
     if r == 4:
         if abs(s.imag) <= _PARAM_TOL and s.real > 0:

@@ -75,6 +75,17 @@ class TestEval:
         assert rec["method"] == "quadrature"
         assert rec["value"]["re"] == pytest.approx(11.0, abs=1e-9)
 
+    def test_odd_s_reports_the_circle(self, capsys):
+        # The Neville i*delta limit reported "limit" with abs_err ~2e-4.
+        code, out, _ = run_cli(
+            capsys, "eval", "--r", "3", "--k", "2", "--s", "1",
+            "--method", "closed-form", "--output", "json",
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["method"] == "contour"
+        assert rec["abs_err"] < 1e-10
+
     def test_oracle_check_outside_torus_domain_warns(self, capsys):
         # The torus oracle refuses r = 2, |k| < 4, s < -1/2; the closed form
         # is still printed and the missing cross-check is a warning.

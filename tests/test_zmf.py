@@ -5,10 +5,10 @@ import mpmath
 import pytest
 
 import zmf.zmf as zmf_module
-from zmf.errors import DomainError, PoleError, ZmfError
+from zmf.errors import DomainError, NearDegenerateParameterError, PoleError, ZmfError
 from zmf.meijer import meijer_mb, meijer_triple_integral, w3_g_spec
 from zmf.oracle import torus_quadrature
-from zmf.types import QuadratureConfig, Regime, ZmfPoint
+from zmf.types import Method, QuadratureConfig, Regime, ZmfPoint
 from zmf.zmf import (
     boundary_derivative_check,
     f_rs,
@@ -24,6 +24,28 @@ from zmf.zmf import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _mp_heavy(r, k, s):
+    """W_r(k;s) for 0 < k < 2^r in 60 digits as (F(k) + F(-k)) / (1 + e^{i pi s}),
+    with F(+-k) the boundary values of (+-k)^s pFq(4^r/k^2) from the upper half
+    plane.  At an odd integer s, where this is 0/0, the s -> n limit is taken
+    at s = n + 1e-25."""
+    with mpmath.workdps(60):
+        kk = mpmath.mpf(k)
+        s = mpmath.mpmathify(s)
+        if s.imag == 0 and s.real % 2 == 1:
+            s += mpmath.mpf(10) ** -25
+        z = 4**r / kk**2
+        tiny = mpmath.mpf(10) ** -40
+        phase = mpmath.exp(1j * mpmath.pi * s)
+
+        def family(zz):
+            upper = [-s / 2, (1 - s) / 2] + [mpmath.mpf(1) / 2] * (r - 1)
+            return kk**s * mpmath.hyper(upper, [1] * r, zz)
+
+        return complex((family(mpmath.mpc(z, -tiny)) + phase * family(mpmath.mpc(z, tiny)))
+                       / (1 + phase))
 
 
 class TestW1:
@@ -117,24 +139,19 @@ class TestHeavyClosedForms:
 
     @pytest.mark.parametrize("k, n", [(1.0, 3), (2.0, 1)])
     def test_w2_odd_matches_mpmath_limit(self, k, n):
-        # The s -> n limit of (F(k) + F(-k)) / (1 + e^{i pi s}), with F(+-k)
-        # the boundary values of (+-k)^s 3F2(16/k^2) from the upper half
-        # plane, taken at s = n + 1e-25 in 60 digits.
-        with mpmath.workdps(60):
-            kk = mpmath.mpf(k)
-            s = n + mpmath.mpf(10) ** -25
-            z = 16 / kk**2
-            tiny = mpmath.mpf(10) ** -40
-            phase = mpmath.exp(1j * mpmath.pi * s)
-
-            def family(zz):
-                return kk**s * mpmath.hyper([-s / 2, (1 - s) / 2, 0.5], [1, 1], zz)
-
-            ref = complex((family(mpmath.mpc(z, -tiny)) + phase * family(mpmath.mpc(z, tiny)))
-                          / (1 + phase))
+        ref = _mp_heavy(2, k, n)
         res = w2_odd(k, n)
         assert abs(res.value - ref) <= 1e-13 * abs(ref)
         assert abs(res.value - ref) <= res.abs_err
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.5])
+    def test_w2_circle_matches_meijer_route(self, k, n):
+        # The circle in s and the Meijer-G formula share no code.
+        a = w(2, k, n)
+        b = w2_odd(k, n)
+        assert a.method is Method.CONTOUR
+        assert abs(a.value - b.value) <= a.abs_err + b.abs_err
 
     def test_w3_even_moment(self):
         assert w3(4.0, 2.0).value.real == pytest.approx(24.0, rel=1e-10)
@@ -205,11 +222,14 @@ class TestDispatcher:
             assert above == pytest.approx(edge, rel=1e-5)
 
     def test_r3_odd_limit(self):
-        res = w(3, 2.0, 1.0)
-        assert res.value.imag == pytest.approx(0.0, abs=1e-9)
-        assert res.abs_err < 1e-3
-        # frozen from the r = 3 torus oracle
-        assert res.value.real == pytest.approx(2.8201924574301704, abs=1e-5)
+        # The Neville i*delta limit was 1.1e-9 to 3.9e-9 off, abs_err ~2e-4.
+        for k in (1.0, 2.5, 4.0, 7.5):
+            for n in (1, 3):
+                ref = _mp_heavy(3, k, n)
+                res = w(3, k, n)
+                assert res.method is Method.CONTOUR
+                assert abs(res.value - ref) <= 1e-13 * abs(ref)
+                assert abs(res.value - ref) <= res.abs_err
 
     def test_r5_heavy_rejected(self):
         with pytest.raises(DomainError):
@@ -245,6 +265,45 @@ class TestDispatcher:
         # others raised a bare ValueError or an OverflowError.
         with pytest.raises(DomainError, match="finite"):
             fn(*args)
+
+
+# Both sides of the circle's window |s - n| <= 1/32 around n = 1 and 3.
+_WINDOW_EDGE = [
+    (r, k, n + sign * (1.0 + e) / 32)
+    for r, k in ((2, 1.5), (3, 3.0))
+    for n in (1, 3)
+    for sign in (1, -1)
+    for e in (1e-12, -1e-12)
+]
+
+
+class TestNearOddS:
+    """Within 1/32 of an odd s at r = 2, 3 the value comes from the circle in
+    s; the closed forms alone lost up to 1e-6 relative there, and raised
+    NearDegenerateParameterError within 1e-6 of it."""
+
+    @pytest.mark.parametrize(
+        "r, k, s",
+        [
+            (2, 1.0, 1.0 + 2e-6),  # was 1.3e-6 off with abs_err 1.7e-9
+            (2, 2.0, 3.0 + 1e-5),  # was 9.1e-7 off with abs_err 9.6e-10
+            (2, 1.0, 1.0 + 0.02j),
+            (3, 1.0, 1.0 + 0.02j),
+            (2, 0.5, 3.0 + 1e-7j),
+            (3, 2.0, 1.0 - 5e-7),
+        ]
+        + _WINDOW_EDGE,
+    )
+    def test_against_mpmath(self, r, k, s):
+        res = w(r, k, s)
+        assert res == {2: w2, 3: w3}[r](k, s)
+        assert (res.method is Method.CONTOUR) == (abs(s - round(s.real)) <= 1 / 32)
+        assert abs(res.value - _mp_heavy(r, k, s)) <= res.abs_err
+
+    def test_real_s_route_still_rejects_odd_s(self):
+        # The continuation itself raises within 1e-6 of an odd s.
+        with pytest.raises(NearDegenerateParameterError):
+            w_real_s(2, 1.0, 1.0 + 5e-7)
 
 
 class TestTypes:
