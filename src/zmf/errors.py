@@ -23,8 +23,9 @@ class EdgeSingularityError(ZmfError):
 
 class NearDegenerateParameterError(ZmfError):
     """Parameters too close to a degenerate configuration (e.g. the real-s
-    continuation within 1e-6 of an odd s, where tan(pi*s/2) blows up; w2 and
-    w3 take a circle in s there instead)."""
+    continuation within 1e-6 of an odd s, where tan(pi*s/2) blows up; w takes
+    a circle in s there at r = 2, 3, 4, so only direct calls of the
+    continuation's users w_real_s, f_rs and h_rs raise it)."""
 
 
 class ContourError(ZmfError):

@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from zmf.errors import PoleError
 from zmf.gamma import cpow, log_gamma
+from zmf.zmf import _LG_ERR
 
 
 def gamma(z):
@@ -42,6 +44,23 @@ def test_gamma_complex_conjugation():
 def test_gamma_recurrence_complex():
     for z in (0.3 + 0.7j, -1.4 + 2.0j, 5.5 - 3.0j):
         assert gamma(z + 1) == pytest.approx(z * gamma(z), rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [-2.5 + 0.1j, -3.3 + 0.5j, -1.5 + 0.01j])
+def test_log_gamma_principal_branch(z):
+    # The reflection formula put the imaginary part 2 pi off here
+    # (-3.03 against -9.31 at -2.5 + 0.1i).
+    assert log_gamma(z) == pytest.approx(complex(mpmath.loggamma(z)), rel=1e-14)
+
+
+def test_log_gamma_within_the_prefactor_error_rule():
+    # The per-factor error that zmf's Gamma prefactors charge.
+    rng = np.random.default_rng(15)
+    zs = rng.uniform(-6.0, 12.0, 400) + 1j * rng.uniform(-40.0, 40.0, 400)
+    with mpmath.workdps(30):
+        for z in list(zs) + [1.0 + 1e-7, 2.0 - 1e-7j, -2.5 + 1e-9j]:
+            lg = log_gamma(z)
+            assert abs(lg - complex(mpmath.loggamma(z))) <= _LG_ERR * (1.0 + abs(lg))
 
 
 def test_log_gamma_pole():

@@ -3,6 +3,8 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zmf.zmf as zmf_module
 from zmf.errors import DomainError, NearDegenerateParameterError, PoleError, ZmfError
@@ -291,19 +293,91 @@ class TestNearOddS:
             (3, 1.0, 1.0 + 0.02j),
             (2, 0.5, 3.0 + 1e-7j),
             (3, 2.0, 1.0 - 5e-7),
+            (4, 2.5, 1.0 + 2e-6),  # was 2.0e-9 relative off by the real-s route
+            (4, 6.0, 3.0 + 5e-6),  # was 1.8e-9 relative off
+            (4, 2.5, 1.0),  # raised NearDegenerateParameterError
         ]
         + _WINDOW_EDGE,
     )
     def test_against_mpmath(self, r, k, s):
         res = w(r, k, s)
-        assert res == {2: w2, 3: w3}[r](k, s)
+        if r < 4:
+            assert res == {2: w2, 3: w3}[r](k, s)
         assert (res.method is Method.CONTOUR) == (abs(s - round(s.real)) <= 1 / 32)
-        assert abs(res.value - _mp_heavy(r, k, s)) <= res.abs_err
+        ref = _mp_heavy(r, k, s)
+        assert abs(res.value - ref) <= res.abs_err
+        # The closed forms and the r = 4 real-s route lost up to seven digits.
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
+        assert res.abs_err <= 1e-8 * abs(ref)
 
     def test_real_s_route_still_rejects_odd_s(self):
         # The continuation itself raises within 1e-6 of an odd s.
         with pytest.raises(NearDegenerateParameterError):
             w_real_s(2, 1.0, 1.0 + 5e-7)
+
+
+def _mp_w_zero(r, s):
+    """W_r(0;s), the r-th power of 2^s Gamma((s+1)/2) / (sqrt(pi) Gamma(1+s/2)),
+    in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        s = mpmath.mpmathify(s)
+        one = 2**s * mpmath.gamma((s + 1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 + s / 2))
+        return complex(one**r)
+
+
+def _s_strategy(lo, hi, im):
+    """Real s in [lo, hi], or complex s with |Im s| <= im, on a 1e-6 grid: at
+    parts like 1e-200 the 60-digit references take seconds."""
+    real, imag = (st.floats(a, b).map(lambda x: round(x, 6)) for a, b in ((lo, hi), (-im, im)))
+    return st.one_of(real.map(complex), st.builds(complex, real, imag))
+
+
+# row: (examples, strategy for (r, k, s), reference).  The w2 and w3
+# references cost tens of ms each at 60 digits; at k = 3.9 and complex s
+# mpmath's 3F2 just outside z = 1 takes about 100 s, so w2 stops at k = 3.7.
+_SWEEP = {
+    "w1-heavy": (150, st.tuples(st.just(1), st.floats(0.05, 1.95), _s_strategy(-0.9, 8.0, 8.0)),
+                 lambda r, k, s: _mp_w1(k, s)),
+    "k-zero": (150, st.tuples(st.integers(1, 6), st.just(0.0), _s_strategy(-0.9, 8.0, 8.0)),
+               lambda r, k, s: _mp_w_zero(r, s)),
+    "w2-heavy": (150, st.tuples(st.just(2), st.floats(0.1, 3.7), _s_strategy(-0.9, 4.0, 4.0)),
+                 _mp_heavy),
+    "w3-heavy": (10, st.tuples(st.just(3), st.floats(0.5, 7.5), _s_strategy(-0.8, 4.0, 2.0)),
+                 _mp_heavy),
+}
+
+
+class TestGammaPrefactors:
+    """Every Gamma prefactor carries _LG_ERR |c_i| (1 + |log Gamma(z_i)|) per
+    factor, where constant floors stood before."""
+
+    def test_w4_at_zero_k(self):
+        # 6.2e-12 off with abs_err 5.1e-12 under the 1e-14 (1 + |val|) floor.
+        s = 3.673826641513681 + 1.8273699914659938j
+        res = w(4, 0.0, s)
+        assert abs(res.value - _mp_w_zero(4, s)) <= res.abs_err
+
+    def test_w2_prefactor_error(self):
+        # scipy's loggamma with w2's bare 1e-14 floor left this 1.33e-13 off
+        # with abs_err 1.14e-13.
+        k, s = 0.4144814290401463, 2.855595325903904 - 3.137928056688681j
+        res = w(2, k, s)
+        assert abs(res.value - _mp_heavy(2, k, s)) <= res.abs_err
+
+    @pytest.mark.parametrize("row", list(_SWEEP))
+    def test_error_bar_sweep(self, row):
+        examples, points, reference = _SWEEP[row]
+        ratios = []
+
+        @settings(max_examples=examples, derandomize=True, database=None, deadline=None)
+        @given(points)
+        def check(point):
+            res = w(*point)
+            ratios.append(abs(res.value - reference(*point)) / res.abs_err)
+            assert ratios[-1] <= 1.0
+
+        check()
+        print(f"{row}: worst |value - mpmath| / abs_err {max(ratios):.3g} over {len(ratios)} points")
 
 
 class TestTypes:
