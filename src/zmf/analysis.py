@@ -324,7 +324,7 @@ def mahler_w3(k: float) -> EvalResult:
     routes = mahler_w3_routes(k)
     vals = list(routes.values())
     spread = max(vals) - min(vals)
-    return EvalResult(complex(routes["meijer"]), max(spread, 1e-12), Method.CONTOUR)
+    return EvalResult(complex(routes["meijer"]), max(spread, 1e-12), Method.CLOSED_FORM)
 
 
 def w1_rational_decomposition(n: int) -> tuple:

@@ -29,5 +29,5 @@ class NearDegenerateParameterError(ZmfError):
 
 
 class ContourError(ZmfError):
-    """A contour could not be placed (pole pinch, non-separable families,
-    or a winding sum that does not round to an integer)."""
+    """A contour could not be placed (a Meijer-G right pole on a left pole
+    pinches it) or a winding sum does not round to an integer."""

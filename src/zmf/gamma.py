@@ -2,9 +2,8 @@
 complex power.
 
 log_gamma is scipy.special.loggamma, the principal branch of log Gamma
-(continuous in z off the negative real axis), behind a pole guard.
-meijer sums its Mellin-Barnes integrands with the same scipy kernel on
-arrays, so every Gamma factor in the package is one kernel.
+(continuous in z off the negative real axis), behind a pole guard.  Every
+Gamma factor in the package goes through it (hyper.gamma_ratio).
 """
 
 from __future__ import annotations

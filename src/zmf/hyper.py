@@ -13,6 +13,9 @@ Three evaluation mechanisms live here:
 * analytic continuation past z = 1 for the specific family
   (-s/2, (1-s)/2, 1/2, ..., 1/2; 1, ..., 1) by numerically integrating the
   order-(r+1) hypergeometric ODE along a half-plane detour path.
+
+The first two also sum pfq_shift_derivative, the residue series of a double
+Mellin-Barnes pole; gamma_ratio gives Gamma prefactors with their error.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import comb, factorial, polygamma
+from scipy.special import comb, factorial, polygamma, psi
 
 from .errors import (
     ConvergenceError,
@@ -38,6 +41,11 @@ from .types import ROUNDING, EvalResult, Method
 
 _MAX_TERMS = 200_000
 _TOL = 1e-13
+_EPS = 2.0**-52
+# Relative accuracy of log_gamma (scipy's loggamma): over 10,000 random z with
+# Re z in (-6, 12) and |Im z| <= 40 it stayed within 11.5 eps (1 + |log Gamma(z)|)
+# of 30-digit mpmath; gamma_ratio charges 32 eps per unit of that scale.
+_LG_ERR = 32 * _EPS
 _INT_TOL = 1e-9
 
 # Near-unit tail: direct terms to _N_CUT, then _FIT_TERMS fitted powers.
@@ -56,6 +64,18 @@ _EM_COEF = _BERNOULLI[2:13:2] / factorial(np.arange(2, 13, 2))
 # B_m(p) = sum_i C(m, i) B_(m-i) p^i, as a matrix over (m, i); C(m, i) = 0 for i > m.
 _DEG = np.arange(len(_BERNOULLI))
 _BERNOULLI_POLY = comb(_DEG[:, None], _DEG) * _BERNOULLI[np.abs(_DEG[:, None] - _DEG)]
+
+
+def gamma_ratio(c0: complex, *factors) -> tuple[complex, float]:
+    """exp(c0 + sum_i c_i log Gamma(z_i)) over factors (c_i, z_i), and its
+    relative error: _LG_ERR |c_i| (1 + |log Gamma(z_i)|) per factor plus the
+    rounding of the exponent, ROUNDING (1 + |c0| + |exponent|)."""
+    total, err = c0, 0.0
+    for c, z in factors:
+        lg = log_gamma(z)
+        total += c * lg
+        err += _LG_ERR * abs(c) * (1.0 + abs(lg))
+    return cmath.exp(total), err + ROUNDING * (1.0 + abs(c0) + abs(total))
 
 
 class ContinuationBranch(str, enum.Enum):
@@ -131,12 +151,34 @@ def _partial_sum(spec: SeriesSpec, count: int) -> tuple:
     return complex(terms.sum()), float(np.abs(terms).sum())
 
 
-def _scaled_terms(spec: SeriesSpec, nodes) -> np.ndarray:
+def _shift_terms(spec: SeriesSpec, count: int) -> tuple:
+    """t_n and d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n), n <= count,
+    by t_(n+1)/t_n = z prod(a + n) / ((1 + n) prod(b + n)) and d_(n+1) - d_n =
+    sum 1/(a + n) - sum 1/(b + n) - 1/(1 + n), then the last ratio and step.
+    A real series runs in real arithmetic, which is also where scipy's digamma
+    is fast: its complex one sums a slow series near its root 1.46."""
+    params, z = np.array(spec.upper + spec.lower + (1.0,)), spec.argument
+    if not params.imag.any() and z.imag == 0.0:
+        params, z = params.real, z.real
+    up = len(spec.upper)
+    shifted = params[:, None] + np.arange(float(count))
+    ratio = z * shifted[:up].prod(0) / shifted[up:].prod(0)
+    step = (1.0 / shifted[:up]).sum(0) - (1.0 / shifted[up:]).sum(0)
+    t = np.concatenate(([1.0], np.cumprod(ratio)))
+    d = psi(params[:up]).sum() - psi(params[up:]).sum() + np.concatenate(([0.0], np.cumsum(step)))
+    return t, d, ratio[-1], step[-1]
+
+
+def _scaled_terms(spec: SeriesSpec, nodes, log_z: complex | None = None) -> np.ndarray:
     """n^(1+alpha) t_n / z^n at large n, from the Stirling series
     log Gamma(n + p) = (n + p - 1/2) log n - n + log(2 pi)/2
                        + sum_k (-1)^(k+1) B_(k+1)(p) / (k (k+1) n^k)
     (DLMF 5.11.8), whose leading parts cancel between the parameters; summing
-    log Gamma(n + p) itself would lose ~n log n * eps.  Needs n >> |p|."""
+    log Gamma(n + p) itself would lose ~n log n * eps.  Needs n >> |p|.
+
+    With log_z, the same times log z + d_n (_shift_terms), d_n from the
+    p-derivative psi(n + p) = log n + sum_k (-1)^(k+1) B_k(p) / (k n^k) of that
+    series (dB_(k+1)(p)/dp = (k+1) B_k(p), DLMF 24.4.34), whose log n cancel."""
     params = np.array(spec.upper + spec.lower + (1.0,))
     sign = np.r_[np.ones(len(spec.upper)), -np.ones(len(spec.lower) + 1)]
     bern = sign @ (params[:, None] ** _DEG @ _BERNOULLI_POLY.T)
@@ -144,7 +186,11 @@ def _scaled_terms(spec: SeriesSpec, nodes) -> np.ndarray:
     coef = (-1.0) ** (k + 1) * bern[k + 1] / (k * (k + 1))
     const = sum(log_gamma(b) for b in spec.lower) - sum(log_gamma(a) for a in spec.upper)
     inv = 1.0 / np.asarray(nodes, dtype=float)
-    return np.exp(const + np.polyval(np.r_[coef[::-1], 0.0], inv))
+    scaled = np.exp(const + np.polyval(np.r_[coef[::-1], 0.0], inv))
+    if log_z is None:
+        return scaled
+    shift = (-1.0) ** (k + 1) * bern[k] / k
+    return scaled * (log_z + np.polyval(np.r_[shift[::-1], 0.0], inv))
 
 
 def _expm1_over(x: complex) -> complex:
@@ -233,10 +279,12 @@ def _power_tails(alpha: complex, a: float, log_z: complex) -> np.ndarray:
     return cmath.exp(a * log_z) * np.exp(-sigma * math.log(a)) * series
 
 
-def _sum_near_unit(spec: SeriesSpec) -> EvalResult:
+def _sum_near_unit(spec: SeriesSpec, shifted: bool = False) -> EvalResult:
     """pFq for z at or near 1: direct partial sum to n_cut plus the tail
     n > n_cut fitted to the t_n ~ z^n n^{-1-alpha} (c0 + c1/n + ...)
-    asymptotics, each power summed in closed form (_power_tails).
+    asymptotics, each power summed in closed form (_power_tails).  shifted
+    sums t_n (log z + d_n) instead (pfq_shift_derivative), whose tail has the
+    same powers: d_n is O(1/n) with no log n.
 
     The error is the gap between two fits of the same tail (nodes n_cut 2^m,
     m = 0..5 and m = 1..6) plus the rounding of the sums."""
@@ -252,9 +300,12 @@ def _sum_near_unit(spec: SeriesSpec) -> EvalResult:
     n_cut = max(_N_CUT, math.ceil(32.0 * max(map(abs, spec.upper + spec.lower))))
     if (n_cut + 1) * abs(log_z) > 2.0:
         n_cut = max(n_cut, math.ceil(36.0 / abs(log_z)))
-    total, abs_sum = _partial_sum(spec, n_cut + 1)
+    terms, d, _, _ = _shift_terms(spec, n_cut)
+    if shifted:
+        terms = terms * (log_z + d)
+    total, abs_sum = complex(terms.sum()), float(np.abs(terms).sum())
     nodes = [n_cut * 2**m for m in range(_FIT_TERMS + 1)]
-    rhs = _scaled_terms(spec, nodes)
+    rhs = _scaled_terms(spec, nodes, log_z if shifted else None)
     vand = np.array([[(1.0 / n) ** j for j in range(_FIT_TERMS)] for n in nodes])
     sums = _power_tails(alpha, n_cut + 1.0, log_z)
     tail, tail_alt = (
@@ -284,7 +335,7 @@ def pfq(spec: SeriesSpec) -> EvalResult:
         return _sum_near_unit(spec)
     rho = 0.5 * (1.0 + az)  # majorant of the term ratio beyond the transient
     terms = _terms(spec)
-    total = next(terms)
+    total = last = next(terms)
     prev = abs_sum = abs(total)
     for n, term in enumerate(itertools.islice(terms, _MAX_TERMS), 1):
         cur = abs(term)
@@ -300,10 +351,44 @@ def pfq(spec: SeriesSpec) -> EvalResult:
                 # ~1/(1 - rho) terms sit near or below that level, where
                 # they are lost one-sidedly.
                 err = bound + 1e-15 * abs(total) + ROUNDING * abs_sum / (1.0 - rho)
-                return EvalResult(total + term, err, Method.CLOSED_FORM)
+                # The tail is summed as a geometric series; the bound covers it.
+                q = term / last
+                return EvalResult(total + term / (1.0 - q), err, Method.CLOSED_FORM)
         total += term
         prev = cur
+        last = term
     raise ConvergenceError("pFq: series did not converge within the term budget")
+
+
+def pfq_shift_derivative(spec: SeriesSpec) -> EvalResult:
+    """sum_n t_n (log z + d_n), d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n),
+    for a non-terminating series with |z| <= 1: the derivative in e at 0 of
+    z^e sum_n z^n prod Gamma(a + e + n) / (prod Gamma(b + e + n) Gamma(1 + e + n))
+    over prod Gamma(a) / prod Gamma(b), the residues of a double Mellin-Barnes
+    pole (meijer).  At |z| <= 0.999 the terms are summed in numpy to a count
+    that doubles until the last term ratio is below rho = (1 + |z|)/2 and the
+    geometric majorant of the rest of sum |t_n| is below eps times it; the
+    error is that tail times a bound on |log z + d_n| beyond it, plus the
+    rounding of the sum.  Nearer 1: _sum_near_unit."""
+    if _termination_order(spec) is not None:
+        raise DomainError("pfq_shift_derivative: the series terminates")
+    log_z = spec.log_argument if spec.log_argument is not None else cmath.log(spec.argument)
+    if abs(spec.argument) > 1.0 - 1e-3:
+        return _sum_near_unit(spec, shifted=True)
+    rho = 0.5 * (1.0 + abs(spec.argument))
+    for count in [2**j for j in range(5, 18)]:
+        t, d, ratio, step = _shift_terms(spec, count)
+        tail = abs(t[-1]) * rho / (1.0 - rho)
+        if abs(ratio) <= rho and tail <= _EPS * float(np.abs(t).sum()):
+            break
+    else:
+        raise ConvergenceError("pfq_shift_derivative: no convergence within 131,072 terms")
+    terms = t * (log_z + d)
+    # |d_n - d_N| <= sum_{i >= N} |d_(i+1) - d_i|, about N |d_N - d_(N-1)| for
+    # steps that fall like 1/i^2.
+    reach = abs(log_z + d[-1]) + count * abs(step)
+    err = tail * reach + ROUNDING * float(np.abs(terms).sum())
+    return EvalResult(complex(terms.sum()), err, Method.CLOSED_FORM)
 
 
 def family_spec(r: int, s: complex, w: complex, log_w: complex | None = None) -> SeriesSpec:

@@ -1,7 +1,7 @@
 """The two Meijer G-functions needed for W_2 at odd integers and for W_3:
-G^{2,3}_{3,3} and G^{2,4}_{4,4}, by the trapezoid rule on the Mellin-Barnes
-line, plus the Nesterenko triple-integral representation of the W_3 instance
-as an independent second route.
+G^{2,3}_{3,3} and G^{2,4}_{4,4}, by their right-pole residue series, plus the
+Nesterenko triple-integral representation of the W_3 instance as an
+independent second route.
 
 Mellin-Barnes convention:
 
@@ -9,22 +9,27 @@ Mellin-Barnes convention:
         [prod_{j<=m} Gamma(b_j - t) prod_{i<=n} Gamma(1 - a_i + t)]
       / [prod_{j>m} Gamma(1 - b_j + t) prod_{i>n} Gamma(a_i - t)] z^t dt,
 
-with C a vertical line separating the poles of Gamma(b_j - t) (right family)
-from those of Gamma(1 - a_i + t) (left family); the line is read off the
-parameters, between max Re a_i - 1 and min Re b_j.  Only w2_odd, the
-odd-integer W_2 formula, meets families that no straight line separates
-(half-integer left poles interleave with integer right poles); there the
-contour is indented: a line left of the right family plus explicit residue
-corrections at the left poles it strands on the wrong side.
+with C separating the poles of Gamma(b_j - t) (right family) from those of
+Gamma(1 - a_i + t) (left family).  Both supported orders have p = q and
+0 < z < 1, so C closes to the right: G is minus the sum of the residues at
+t = b_j + l (Slater, Generalized Hypergeometric Functions (1966), ch. 5;
+Luke, The Special Functions and Their Approximations I (1969), sec. 5.2).
+For b_1 - b_2 not an integer these are two Slater series, each a Gamma
+prefactor times a pFq in +z.  For b_1 - b_2 = +-g, an integer, the poles
+b_lo + j, j < g, are simple (a finite sum) and the rest double, each adding
+-(-1)^g z^(b_lo+l) c_l (log z + d_l) to G, with c_l a pFq term and d_l its
+derivative in a common shift of the parameters (hyper.pfq_shift_derivative).
+W_3's block has b_1 = b_2, g = 0; W_2's at odd n has g = (1 + n)/2.
 
-On the line the integrand is analytic in a strip as wide as the distance to
-the nearest pole and decays like exp(-2 pi |Im t|), so the plain trapezoid
-rule with step h converges exponentially in 1/h (Trefethen and Weideman,
-SIAM Rev. 56 (2014) 385) and is summed as one numpy array of scipy log-gamma
-values.  Halving h squares the relative error, so the error estimate is the
-squared relative difference between the sums at h and 2h, times the value,
-plus a rounding floor of 32 eps h sum|f_j| and the cut tails beyond |Im t| = T,
-(|f(c+iT)| + |f(c-iT)|) / (2 pi); the sum is divided by 2 pi like the value.
+Next to z = 1 both series sum their tails by hyper's near-unit fit.  In the
+W_2 and W_3 blocks log z enters as log z times a bounded series and through
+tail cusps |log z|^(1 + alpha), alpha > 1/2, so the log of the rounded z
+serves (log z from the exact distance k - 2^r changed no value by 1e-36
+relative at k = 7.9999 to 8 - 1e-13).  The error is the series' own (tail
+majorant, fit gap, rounding) plus gamma_ratio's per-factor error of each
+prefactor.  A right pole on a left pole (b_j - a_i + 1 a non-positive
+integer) pinches C: ContourError.  meijer_mb keeps its name for the
+Mellin-Barnes integral it sums; the perfbench tracer hooks it by that name.
 """
 
 from __future__ import annotations
@@ -34,24 +39,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ellipkm1, loggamma
+from scipy.special import ellipkm1
 
 from .errors import ContourError, ConvergenceError, DomainError
-from .gamma import log_gamma
-from .types import EvalResult, Method
+from .gamma import _POLE_TOL, log_gamma, nearest_int
+from .hyper import SeriesSpec, gamma_ratio, pfq, pfq_shift_derivative
 from .quadutil import ts_rows
+from .types import ROUNDING, EvalResult, Method
 
 _ALLOWED_ORDERS = {(2, 4, 4, 4), (2, 3, 3, 3)}
-_POLE_RANGE = 200
-_PINCH_TOL = 1e-8
-_RES_RADIUS = 0.2
-_RES_NODES = 128
-# Trapezoid step on the Mellin-Barnes line.  The rule's error falls like
-# exp(-2 pi d / h) for poles a distance d from the line; the supported blocks
-# keep d >= 0.2, which puts it near 1e-22.
-_MB_STEP = 0.025
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,6 @@ class MeijerSpec:
 
 def w3_g_spec(s: complex, k: float) -> MeijerSpec:
     """The G^{2,4}_{4,4} block appearing in the W_3 closed form."""
-    s = complex(s)
     a = ((2 + s) / 2,) * 4
     b = ((1 + s) / 2, (1 + s) / 2, 0.0, 0.5)
     return MeijerSpec(a, b, (2, 4, 4, 4), k * k / 64.0)
@@ -85,116 +80,49 @@ def w3_g_spec(s: complex, k: float) -> MeijerSpec:
 
 def w2_g_spec(s: complex, k: float) -> MeijerSpec:
     """The G^{2,3}_{3,3} block appearing in the odd-integer W_2 formula."""
-    s = complex(s)
     a = (1 + s / 2,) * 3
     b = (0.0, (1 + s) / 2, 0.5)
     return MeijerSpec(a, b, (2, 3, 3, 3), k * k / 16.0)
 
 
-def _pole_families(spec: MeijerSpec):
-    """Distinct pole locations (t-plane) of the two Gamma families as complex
-    arrays: left from Gamma(1 - a_i + t), right from Gamma(b_j - t)."""
+def _residues(spec: MeijerSpec, t: complex, log_z: float, lower: complex, *extra) -> tuple:
+    """z^t prod Gamma(1 - a_i + t) / prod_{j>m} Gamma(1 - b_j + t) times the
+    extra (c, x) factors Gamma(x)^c, its relative error, and the pFq (last
+    lower parameter lower) of the residues at t, t + 1, ... over the one at t."""
     m, n, _, _ = spec.orders
-    ell = np.arange(_POLE_RANGE)
-    left = (np.array(spec.a_params[:n])[:, None] - 1.0 - ell).ravel()
-    right = (np.array(spec.b_params[:m])[:, None] + ell).ravel()
-    return _distinct(left), _distinct(right)
+    up = tuple(1.0 - a + t for a in spec.a_params[:n])
+    low = tuple(1.0 - b + t for b in spec.b_params[m:])
+    pref, rel = gamma_ratio(t * log_z, *((1.0, u) for u in up), *((-1.0, v) for v in low), *extra)
+    return pref, rel, SeriesSpec(up, low + (lower,), spec.argument, log_z)
 
 
-def _distinct(t: np.ndarray) -> np.ndarray:
-    """t with points that agree to 1e-12 merged: repeated parameters give
-    one higher-order pole, which needs one residue circle, not several."""
-    keys = np.round(np.column_stack((t.real, t.imag)) * 1e12)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    return t[np.sort(idx)]
-
-
-def _mb_integrand(spec: MeijerSpec):
-    """The Mellin-Barnes integrand for an array of t.  Only exp of the summed
-    log-gammas is used, so the branch loggamma picks does not matter."""
-    m, n, _, q = spec.orders
+def meijer_mb(spec: MeijerSpec) -> EvalResult:
+    """Evaluate the G-function as minus the sum of its right-pole residues
+    (see the module docstring)."""
+    m, n, _, _ = spec.orders
+    b_right, a_left = spec.b_params[:m], spec.a_params[:n]
+    pinches = [nearest_int(b - a + 1.0, _POLE_TOL) for b in b_right for a in a_left]
+    if any(p is not None and p <= 0 for p in pinches):
+        raise ContourError("pole families coalesce: a right pole sits on a left one")
     log_z = math.log(spec.argument)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        acc = t * log_z
-        for b in spec.b_params[:m]:
-            acc += loggamma(b - t)
-        for a in spec.a_params[:n]:
-            acc += loggamma(1.0 - a + t)
-        for b in spec.b_params[m:q]:
-            acc -= loggamma(1.0 - b + t)
-        return np.exp(acc)
-
-    return f
-
-
-def _residue(f, pole: complex) -> complex:
-    """Residue of f at an isolated pole by trapezoidal circle quadrature."""
-    w = _RES_RADIUS * np.exp(2j * math.pi * np.arange(_RES_NODES) / _RES_NODES)
-    return complex(np.sum(f(pole + w) * w)) / _RES_NODES
-
-
-def meijer_mb(spec: MeijerSpec, tol: float = 1e-11) -> EvalResult:
-    """Evaluate the G-function by its defining Mellin-Barnes integral, summed
-    by the trapezoid rule on the line Re t = c (see the module docstring)."""
-    m, n, _, _ = spec.orders
-    # Every left pole has Re <= lmax and every right pole Re >= rmin, so a
-    # positive gap rmin - lmax separates the families and rules out a pinch.
-    lmax = max(a.real for a in spec.a_params[:n]) - 1.0
-    rmin = min(b.real for b in spec.b_params[:m])
-    residue_poles = ()
-    if rmin - lmax > _PINCH_TOL:
-        c = 0.5 * (lmax + rmin)
+    b1, b2 = b_right
+    gap = b1 - b2
+    parts = []  # (prefactor, its relative error, EvalResult of its series)
+    if gap.imag != 0.0 or gap.real != round(gap.real):
+        for bh, bo in ((b1, b2), (b2, b1)):
+            pref, rel, series = _residues(spec, bh, log_z, 1.0 + bh - bo, (1.0, bo - bh))
+            parts.append((pref, rel, pfq(series)))
     else:
-        # No separating line: indent.  Put the line just left of the right
-        # family and correct with residues at the stranded left poles.
-        left, right = _pole_families(spec)
-        min_gap = float(np.min(np.abs(left[:, None] - right[None, :])))
-        if min_gap < _PINCH_TOL:
-            raise ContourError(
-                f"pole families coalesce (gap {min_gap:.2e}); contour is pinched"
-            )
-        c = rmin - 0.25
-        re_all = np.concatenate((left.real, right.real))
-        for shift in (0.0, -0.1, 0.1, -0.2):
-            if np.min(np.abs(re_all - (c + shift))) > 0.2:
-                c += shift
-                break
-        residue_poles = left[left.real > c]
-        for t in residue_poles:
-            if np.min(np.abs(t - right)) < 2.5 * _RES_RADIUS:
-                raise ContourError("indentation circle would touch a right pole")
-
-    f = _mb_integrand(spec)
-
-    def edges(T: float) -> np.ndarray:
-        return np.abs(f(np.array([complex(c, T), complex(c, -T)])))
-
-    # Truncation height: integrand decays like exp(-c_decay |Im t|) with
-    # c_decay >= 2 pi for both supported orders; extend until the boundary
-    # value is negligible.
-    T = 8.0
-    while np.max(edges(T)) > tol * 1e-2 and T < 80:
-        T += 4.0
-
-    # n_half is even (T is a multiple of 4), so the even-indexed nodes are
-    # the grid of step 2h.
-    n_half = round(T / _MB_STEP)
-    vals = f(c + 1j * _MB_STEP * np.arange(-n_half, n_half + 1))
-    fine = _MB_STEP * np.sum(vals)
-    diff = abs(fine - 2.0 * _MB_STEP * np.sum(vals[::2]))
-    # Error estimate as in the module docstring: (diff / |fine|)^2 |fine|.
-    err = (
-        diff * diff / max(abs(fine), _TINY)
-        + 32.0 * _EPS * _MB_STEP * float(np.sum(np.abs(vals)))
-        + float(np.sum(edges(T))) / (2.0 * math.pi)
-    )
-    total = complex(fine) / (2.0 * math.pi)
-    err /= 2.0 * math.pi
-    for t in residue_poles:
-        total += _residue(f, t)
-        err += 1e-14 * abs(total)
-    return EvalResult(total, err, Method.CONTOUR)
+        g = abs(round(gap.real))
+        lo = min(b1, b2, key=lambda b: b.real)
+        for j in range(g):
+            pref, rel, _ = _residues(spec, lo + j, log_z, 1.0, (1.0, g - j), (-1.0, j + 1.0))
+            parts.append(((-1.0) ** j * pref, rel, EvalResult(1.0, 0.0, Method.CLOSED_FORM)))
+        pref, rel, series = _residues(spec, lo + g, log_z, g + 1.0, (-1.0, g + 1.0))
+        parts.append((-((-1.0) ** g) * pref, rel, pfq_shift_derivative(series)))
+    total = sum(pref * f.value for pref, _, f in parts)
+    err = sum(abs(p) * f.abs_err + (rel + ROUNDING) * abs(p * f.value) for p, rel, f in parts)
+    return EvalResult(complex(total), err, Method.CLOSED_FORM)
 
 
 def elliptic_2k(c: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ At r = 2, 3, 4 and s within 1/32 of an odd n >= 1, where the closed forms
 carry tan(pi s / 2) into a 0/0, the value is a circle in s around n
 (_odd_limit): w2 and w3 take it themselves, and w takes it through h_rs at
 r = 4.  w2_odd, the paper's Meijer-G formula for W_2 at odd n, checks that
-circle.
+circle.  The Meijer-G blocks of w3 and w2_odd are summed as their right-pole
+residue series (meijer.meijer_mb).
 
 The heavy-regime formulas all analytically continue the same hypergeometric
 family past its z = 1 singularity; the continuation half-plane is fixed once
@@ -30,11 +31,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
-from .gamma import cpow, log_gamma, nearest_int
+from .gamma import cpow, nearest_int
 from .hyper import (
     ContinuationBranch,
     SeriesSpec,
     family_spec,
+    gamma_ratio,
     pfq,
     pfq_continued,
 )
@@ -53,10 +55,6 @@ CONTINUATION_BRANCH = ContinuationBranch.FROM_BELOW
 # keeps every node outside that window.
 _ODD_RADIUS = 0.25
 _ODD_NODES = 16
-# Relative accuracy of log_gamma (scipy's loggamma): over 10,000 random z with
-# Re z in (-6, 12) and |Im z| <= 40 it stayed within 11.5 eps (1 + |log Gamma(z)|)
-# of 30-digit mpmath; _gamma_ratio charges 32 eps per unit of that scale.
-_LG_ERR = 32 * 2.0**-52
 # Distance below which s counts as an integer (the W_1 pole test) and an
 # imaginary part below which s or z counts as real.
 _PARAM_TOL = 1e-12
@@ -68,18 +66,6 @@ def _edge_log(r: int, k: float):
     of k^2 / 4^r; None at k = 0."""
     edge = 2.0**r
     return 2.0 * math.log1p((k - edge) / edge) if k > 0.0 else None
-
-
-def _gamma_ratio(c0: complex, *factors) -> tuple[complex, float]:
-    """exp(c0 + sum_i c_i log Gamma(z_i)) over factors (c_i, z_i), and its
-    relative error: _LG_ERR |c_i| (1 + |log Gamma(z_i)|) per factor plus the
-    rounding of the exponent, ROUNDING (1 + |c0| + |exponent|)."""
-    total, err = c0, 0.0
-    for c, z in factors:
-        lg = log_gamma(z)
-        total += c * lg
-        err += _LG_ERR * abs(c) * (1.0 + abs(lg))
-    return cmath.exp(total), err + ROUNDING * (1.0 + abs(c0) + abs(total))
 
 
 def _odd_center(s: complex):
@@ -104,7 +90,7 @@ def w1(k: float, s: complex) -> EvalResult:
     if k == 2.0:
         if s.real <= -0.5:
             raise DomainError("W_1 at |k| = 2 requires Re(s) > -1/2")
-        val, rel = _gamma_ratio(
+        val, rel = gamma_ratio(
             s * math.log(2.0), (1.0, 0.5 + s), (-1.0, 1.0 + s / 2), (-1.0, (1.0 + s) / 2)
         )
         return EvalResult(val, rel * abs(val), Method.CLOSED_FORM)
@@ -119,7 +105,7 @@ def w1(k: float, s: complex) -> EvalResult:
         # so the prefactor (and W_1) vanishes.
         return EvalResult(0.0 + 0.0j, 1e-16, Method.CLOSED_FORM)
     f = pfq(SeriesSpec((-s / 2, -s / 2), (0.5,), k * k / 4.0, _edge_log(1, k)))
-    pref, rel = _gamma_ratio(
+    pref, rel = gamma_ratio(
         s * math.log(4.0) - math.log(math.pi), (2.0, (1.0 + s) / 2), (-1.0, 1.0 + s)
     )
     val = pref * f.value
@@ -172,7 +158,7 @@ def _w_zero(r: int, s: complex) -> EvalResult:
     s = complex(s)
     if s.real <= -1.0:
         raise DomainError("W_r(0;s) requires Re(s) > -1")
-    val, rel = _gamma_ratio(
+    val, rel = gamma_ratio(
         r * (s * math.log(2.0) - 0.5 * math.log(math.pi)),
         (r, (s + 1.0) / 2.0),
         (-r, 1.0 + s / 2.0),
@@ -194,7 +180,7 @@ def w2(k: float, s: complex) -> EvalResult:
         return _odd_limit(lambda z: w2(k, z), n, s)
     z, log_z = k * k / 16.0, _edge_log(2, k)
     f2 = pfq(SeriesSpec((-s / 2, -s / 2, -s / 2), ((1 - s) / 2, 0.5), z, log_z))
-    pref2, rel2 = _gamma_ratio(0.0, (2.0, s + 1.0), (-4.0, s / 2 + 1.0))
+    pref2, rel2 = gamma_ratio(0.0, (2.0, s + 1.0), (-4.0, s / 2 + 1.0))
     total = pref2 * f2.value
     err = abs(pref2) * f2.abs_err + rel2 * abs(total)
     if k > 0.0:
@@ -237,9 +223,10 @@ def _odd_limit(fn, n: int, s: complex) -> EvalResult:
 def w2_odd(k: float, n: int) -> EvalResult:
     """W_2(k;n) at odd positive n, |k| < 4.
 
-    The value is the paper's explicit Meijer-G expression, summed on an
-    indented Mellin-Barnes contour.  It shares no code with the circle that
-    w2 takes near odd s, so each checks the other.
+    The value is the paper's explicit Meijer-G expression, its G block summed
+    as the residue series of its simple and then double right poles.  It
+    shares no code with the circle that w2 takes near odd s, so each checks
+    the other.
     """
     k = abs(float(k))
     if not (isinstance(n, int) and n >= 1 and n % 2 == 1):
@@ -251,14 +238,14 @@ def w2_odd(k: float, n: int) -> EvalResult:
     g = meijer_mb(w2_g_spec(n, k))
     pref = (-1.0) ** ((n + 1) // 2) * 2.0**n * math.factorial(n) / math.pi**3
     alt = pref * g.value
-    # W_2 is real at real k and s; the imaginary part is contour rounding.
-    return EvalResult(complex(alt.real), abs(pref) * g.abs_err, Method.CONTOUR)
+    # W_2 is real at real k and s; the imaginary part is rounding.
+    return EvalResult(complex(alt.real), abs(pref) * g.abs_err, Method.CLOSED_FORM)
 
 
 def w3(k: float, s: complex) -> EvalResult:
     """W_3(k;s) for |k| < 8, Re(s) > -1; near an odd s, by the circle.
 
-    The Meijer-G term is evaluated by its Mellin-Barnes contour;
+    The Meijer-G term is summed as its double-pole residue series;
     meijer_triple_integral is the independent check of that route.
     """
     k = abs(float(k))
@@ -273,7 +260,7 @@ def w3(k: float, s: complex) -> EvalResult:
         return _odd_limit(lambda z: w3(k, z), n, s)
     z, log_z = k * k / 64.0, _edge_log(3, k)
     f1 = pfq(SeriesSpec((-s / 2,) * 4, ((1 - s) / 2, (1 - s) / 2, 0.5), z, log_z))
-    pref1, rel1 = _gamma_ratio(0.0, (3.0, 1.0 + s), (-6.0, 1.0 + s / 2))
+    pref1, rel1 = gamma_ratio(0.0, (3.0, 1.0 + s), (-6.0, 1.0 + s / 2))
     total = pref1 * f1.value
     err = abs(pref1) * f1.abs_err + rel1 * abs(total)
     if k > 0.0:
@@ -283,7 +270,7 @@ def w3(k: float, s: complex) -> EvalResult:
         total += pref2 * f2.value
         err += abs(pref2) * f2.abs_err
         g = meijer_mb(w3_g_spec(s, k))
-        pref3, rel3 = _gamma_ratio(s * math.log(4.0), (1.0, 1.0 + s))
+        pref3, rel3 = gamma_ratio(s * math.log(4.0), (1.0, 1.0 + s))
         pref3 *= t / math.pi**3.5
         total += pref3 * g.value
         err += abs(pref3) * g.abs_err + rel3 * abs(pref3 * g.value)
@@ -387,7 +374,7 @@ def k_zero_derivatives(r: int, s: float, j: int, h: float = 0.05) -> DerivativeR
         # Gamma(s+1)/Gamma(s-j+1) * W_r(0; s-j): the falling factorial from
         # repeated application of d^2/dk^2 = s(s-1) * (value at s-2), applied
         # j/2 times, times the k = 0 value at the shifted exponent.
-        ratio, _ = _gamma_ratio(0.0, (1.0, s + 1.0), (-1.0, s - j + 1.0))
+        ratio, _ = gamma_ratio(0.0, (1.0, s + 1.0), (-1.0, s - j + 1.0))
         ref = ratio * _w_zero(r, s - j).value
 
     def stencil(hh: float) -> complex:

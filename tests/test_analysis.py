@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from zmf.analysis import (
@@ -81,6 +82,16 @@ class TestMahler:
         # the theta form of the double integral has no endpoint singularity
         routes = mahler_w2_routes(k)
         assert abs(routes["integral"] - routes["series"]) < 1e-13
+
+    def test_w2_series_route_sums_the_tail(self):
+        # pfq stopped at an absolute 1e-13 majorant and dropped the positive
+        # tail, 6.6e-15 (1.3e-14 relative) off here: more than the route
+        # spread, so the perfbench check of this eval-contour task failed.
+        k = 2.02330925346642
+        with mpmath.workdps(40):
+            kk = mpmath.mpf(k)
+            want = float(kk / 4 * mpmath.hyp3f2(0.5, 0.5, 0.5, 1, 1.5, kk**2 / 16))
+        assert abs(mahler_w2_routes(k)["series"] - want) <= 1e-15 * want
 
     def test_w2_value(self):
         assert mahler_w2(2.0).value.real == pytest.approx(0.511424067053, abs=1e-8)

@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 from zmf.errors import PoleError
 from zmf.gamma import cpow, log_gamma
-from zmf.zmf import _LG_ERR
+from zmf.hyper import _LG_ERR
 
 
 def gamma(z):

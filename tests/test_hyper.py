@@ -11,6 +11,8 @@ from zmf.hyper import (
     _hurwitz,
     _power_tails,
     _series_theta_derivatives,
+    _shift_terms,
+    _terms,
     family_spec,
     pfq,
     pfq_continued,
@@ -79,6 +81,28 @@ def test_theta_derivative_initial_conditions():
             for j in range(4)
         ]
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SeriesSpec((0.5,) * 4, (1.75, 1.25, 1.0), 0.99),
+        SeriesSpec((0.3 + 2j, -0.7, 0.5), (1.2 - 1j, 2.5), -0.8 + 0.3j),
+    ],
+)
+def test_shift_terms_match_scalar_terms_and_digamma(spec):
+    # The numpy products and sums against the scalar recurrence and against
+    # d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n) at each n.
+    t, d, _, _ = _shift_terms(spec, 200)
+    scalar = _terms(spec)
+    want_t = [next(scalar) for _ in range(201)]
+    assert max(abs(x - y) / abs(y) for x, y in zip(t, want_t)) <= 200 * 2.0**-52
+    for n in (0, 1, 7, 200):
+        want_d = complex(
+            sum(mpmath.digamma(a + n) for a in spec.upper)
+            - sum(mpmath.digamma(b + n) for b in spec.lower + (1.0,))
+        )
+        assert abs(d[n] - want_d) <= 1e-13 * (1.0 + abs(want_d))
 
 
 def test_family_spec_structure():

@@ -30,8 +30,8 @@ def test_w3_block_against_mpmath(s, k):
 
 @pytest.mark.parametrize("s,k", [(1.0, 1.0), (1.0, 2.0), (3.0, 1.0)])
 def test_w2_block_against_mpmath(s, k):
-    # half-integer left poles interleave the integer right family here, so
-    # this exercises the indented contour with residue corrections
+    # half-integer left poles interleave the integer right family here: the
+    # right poles are simple up to (n - 1)/2 and double after it
     spec = w2_g_spec(s, k)
     got = meijer_mb(spec)
     want = mp_g(spec)
@@ -39,7 +39,7 @@ def test_w2_block_against_mpmath(s, k):
 
 
 def _sweep_specs(seed: int = 6, count: int = 16) -> list:
-    """Seeded W_3 blocks at real and complex s, and indented W_2 blocks at
+    """Seeded W_3 blocks at real and complex s, and W_2 blocks at
     n = 1, 3, 5.  k stays where mpmath.meijerg is quick (k <= 7.5 for W_3,
     k <= 3.8 for W_2)."""
     rng = random.Random(seed)
@@ -56,6 +56,39 @@ def _sweep_specs(seed: int = 6, count: int = 16) -> list:
 @pytest.mark.parametrize("spec", _sweep_specs())
 def test_sweep_against_mpmath_within_error_bar(spec):
     # the reported error must cover the true error and stay small
+    got = meijer_mb(spec)
+    want = mp_g(spec)
+    assert abs(got.value - want) <= got.abs_err <= 1e-12 * (1.0 + abs(got.value))
+
+
+# 25-digit mpmath.meijerg at z = (k/8)^2 and (k/4)^2 from the exact k; each
+# takes mpmath one to three minutes, so they are frozen here.
+_NEAR_EDGE = [
+    (w3_g_spec(0.5, 7.99), "80.32004270815202546305"),
+    (w3_g_spec(0.5, 7.9999), "80.44143256838058641727"),
+    (w2_g_spec(1, 3.999), "-61.99705145601145049015"),
+    (w2_g_spec(3, 3.999), "72.30922882577244158127"),
+]
+
+
+@pytest.mark.parametrize("spec, want", _NEAR_EDGE)
+def test_next_to_unit_argument(spec, want):
+    # k = 7.99 sums 8,193 terms directly; z = 0.99998 at k = 7.9999
+    # and 0.99950 at k = 3.999 take the fitted near-unit tail.
+    got = meijer_mb(spec)
+    want = float(want)
+    assert abs(got.value - want) <= got.abs_err <= 1e-12 * (1.0 + abs(got.value))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MeijerSpec((0.3, 0.7, 1.1, 0.2), (0.4, 0.15, 0.0, 0.5), (2, 4, 4, 4), 0.3),
+        MeijerSpec((0.3 + 0.2j, 0.7, 1.1), (0.4, -0.35, 0.5), (2, 3, 3, 3), 0.7),
+    ],
+)
+def test_non_integer_gap_is_two_slater_series(spec):
+    # b_1 - b_2 is not an integer: every right pole is simple.
     got = meijer_mb(spec)
     want = mp_g(spec)
     assert abs(got.value - want) <= got.abs_err <= 1e-12 * (1.0 + abs(got.value))
