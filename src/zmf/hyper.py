@@ -12,7 +12,8 @@ Three evaluation mechanisms live here:
   asymptotic series (other z on the rim),
 * analytic continuation past z = 1 for the specific family
   (-s/2, (1-s)/2, 1/2, ..., 1/2; 1, ..., 1) by numerically integrating the
-  order-(r+1) hypergeometric ODE along a half-plane detour path.
+  order-(r+1) hypergeometric ODE along a half-plane detour path; its
+  first call loads scipy.integrate, which nothing else in zmf needs.
 
 The first two also sum pfq_shift_derivative, the residue series of a double
 Mellin-Barnes pole; gamma_ratio gives Gamma prefactors with their error.
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import comb, factorial, polygamma, psi
 
 from .errors import (
@@ -423,6 +423,15 @@ def _theta_poly(params) -> np.ndarray:
     for p in params:
         coeffs = np.convolve(coeffs, np.array([complex(p), 1.0 + 0.0j]))
     return coeffs  # coeffs[m] multiplies theta^m
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at call time: the module costs a
+    fresh process about 0.25 s and 26 MB (2-core Xeon, BENCH_18.json) and
+    only the continuation uses it.  perfbench's tracer hooks this name."""
+    from scipy.integrate import solve_ivp as _solve_ivp
+
+    return _solve_ivp(*args, **kwargs)
 
 
 def pfq_continued(r: int, s: complex, w: float, branch: ContinuationBranch) -> EvalResult:

@@ -25,12 +25,13 @@ _DEFAULT_CFG = QuadratureConfig()
 
 
 def _abs_pow(base: np.ndarray, s: complex) -> np.ndarray:
-    """|base|^s = exp(s log|base|), elementwise; 0^s -> 0 for Re s > 0."""
+    """|base|^s = exp(s log|base|), elementwise; 0^s -> 0 for Re s > 0.
+    A real s (imaginary part 0) gives a real array, through the float exp."""
     mag = np.abs(base)
     if s == 0:
-        return np.ones_like(mag, dtype=complex)
+        return np.ones_like(mag)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(complex(s) * np.log(mag))
+        out = np.exp((s.real if s.imag == 0 else s) * np.log(mag))
     out = np.where(mag == 0.0, 0.0, out)
     return out
 
