@@ -26,7 +26,6 @@ from .errors import (
     ContourError,
     ConvergenceError,
     EdgeSingularityError,
-    NearDegenerateParameterError,
     PoleError,
 )
 from .errors import DomainError
@@ -44,7 +43,6 @@ _NUMERICAL_ERRORS = (
     ConvergenceError,
     ContourError,
     EdgeSingularityError,
-    NearDegenerateParameterError,
 )
 
 

@@ -3,7 +3,8 @@
 Three evaluation mechanisms live here:
 
 * direct summation with a ratio-test tail bound plus the rounding of the
-  sum (|z| <= 0.999 or terminating series),
+  sum (|z| <= 0.999, or any z when an upper parameter is exactly a
+  non-positive integer and the series terminates),
 * near-unit evaluation, 0.999 < |z| <= 1: a direct sum to n = 1000 and the
   tail n > 1000 fitted to its n^(-1-alpha-j) asymptotics, each power summed
   in numpy by an Euler-Maclaurin Hurwitz zeta (z = 1, the boundary
@@ -12,8 +13,9 @@ Three evaluation mechanisms live here:
   asymptotic series (other z on the rim),
 * analytic continuation past z = 1 for the specific family
   (-s/2, (1-s)/2, 1/2, ..., 1/2; 1, ..., 1) by numerically integrating the
-  order-(r+1) hypergeometric ODE along a half-plane detour path; its
-  first call loads scipy.integrate, which nothing else in zmf needs.
+  order-(r+1) hypergeometric ODE along a half-plane detour path, at any
+  complex s; its first call loads scipy.integrate, which nothing else in
+  zmf needs.
 
 The first two also sum pfq_shift_derivative, the residue series of a double
 Mellin-Barnes pole; gamma_ratio gives Gamma prefactors with their error.
@@ -30,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import comb, factorial, polygamma, psi
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NearDegenerateParameterError,
-    PoleError,
-)
+from .errors import ConvergenceError, DomainError, PoleError
 from .gamma import log_gamma, nearest_int
 from .types import ROUNDING, EvalResult, Method
 
@@ -46,6 +43,10 @@ _EPS = 2.0**-52
 # Re z in (-6, 12) and |Im z| <= 40 it stayed within 11.5 eps (1 + |log Gamma(z)|)
 # of 30-digit mpmath; gamma_ratio charges 32 eps per unit of that scale.
 _LG_ERR = 32 * _EPS
+# scipy's digamma: over 4,000 random z with Re z in (-6, 12) and |Im z| <= 3
+# it stayed within 13.2 eps (1 + |psi(z)|) of 30-digit mpmath; _shifted_sum
+# charges 32 eps per unit of that scale.
+_PSI_ERR = 32 * _EPS
 _INT_TOL = 1e-9
 
 # Near-unit tail: direct terms to _N_CUT, then _FIT_TERMS fitted powers.
@@ -102,19 +103,21 @@ class SeriesSpec:
         object.__setattr__(self, "argument", complex(self.argument))
 
 
-def _as_nonpositive_int(x: complex):
-    """Return m >= 0 when x is numerically the non-positive integer -m."""
-    n = nearest_int(x, _INT_TOL)
+def _as_nonpositive_int(x: complex, tol: float):
+    """Return m >= 0 when x is within tol of the non-positive integer -m."""
+    n = nearest_int(x, tol)
     return -n if n is not None and n <= 0 else None
 
 
 def _termination_order(spec: SeriesSpec):
     """Index after which every term vanishes, or None for a full series.
 
-    Raises PoleError when a lower-parameter pole is hit before termination.
+    Only an exact non-positive integer upper parameter ends the series: one
+    1e-9 away leaves terms of that relative size.  Raises PoleError when a
+    lower parameter within _INT_TOL of a pole is reached before termination.
     """
-    uppers = [m for m in map(_as_nonpositive_int, spec.upper) if m is not None]
-    lowers = [m for m in map(_as_nonpositive_int, spec.lower) if m is not None]
+    uppers = [m for m in (_as_nonpositive_int(a, 0.0) for a in spec.upper) if m is not None]
+    lowers = [m for m in (_as_nonpositive_int(b, _INT_TOL) for b in spec.lower) if m is not None]
     m_stop = min(uppers) if uppers else None
     if lowers:
         m_pole = min(lowers)
@@ -144,17 +147,17 @@ def _terms(spec: SeriesSpec):
         n += 1.0
 
 
-def _partial_sum(spec: SeriesSpec, count: int) -> tuple:
-    """(t_0 + ... + t_{count-1}, |t_0| + ... + |t_{count-1}|), summed
-    pairwise."""
-    terms = np.fromiter(itertools.islice(_terms(spec), count), complex, count)
-    return complex(terms.sum()), float(np.abs(terms).sum())
+def _chain_rounding(terms: np.ndarray) -> float:
+    """Rounding of the sum of terms t_0, t_1, ... made by a chain of ratios:
+    t_n carries about n roundings from the chain and one from the sum."""
+    return ROUNDING * float(np.abs(terms) @ np.arange(1.0, len(terms) + 1.0))
 
 
 def _shift_terms(spec: SeriesSpec, count: int) -> tuple:
     """t_n and d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n), n <= count,
     by t_(n+1)/t_n = z prod(a + n) / ((1 + n) prod(b + n)) and d_(n+1) - d_n =
-    sum 1/(a + n) - sum 1/(b + n) - 1/(1 + n), then the last ratio and step.
+    sum 1/(a + n) - sum 1/(b + n) - 1/(1 + n), then the last ratio, the steps
+    and the digammas psi(p) at n = 0.
     A real series runs in real arithmetic, which is also where scipy's digamma
     is fast: its complex one sums a slow series near its root 1.46."""
     params, z = np.array(spec.upper + spec.lower + (1.0,)), spec.argument
@@ -165,8 +168,19 @@ def _shift_terms(spec: SeriesSpec, count: int) -> tuple:
     ratio = z * shifted[:up].prod(0) / shifted[up:].prod(0)
     step = (1.0 / shifted[:up]).sum(0) - (1.0 / shifted[up:]).sum(0)
     t = np.concatenate(([1.0], np.cumprod(ratio)))
-    d = psi(params[:up]).sum() - psi(params[up:]).sum() + np.concatenate(([0.0], np.cumsum(step)))
-    return t, d, ratio[-1], step[-1]
+    psis = psi(params)
+    d = psis[:up].sum() - psis[up:].sum() + np.concatenate(([0.0], np.cumsum(step)))
+    return t, d, ratio[-1], step, psis
+
+
+def _shifted_sum(t, d, log_z: complex, step, psis) -> tuple:
+    """The terms t_n (log z + d_n) of _shift_terms and the rounding of their
+    sum: that of the ratio chain of t_n (_chain_rounding), of log z, and of
+    d_n, which carries the digammas' error and the steps summed into it."""
+    terms = t * (log_z + d)
+    d_err = _PSI_ERR * float((1.0 + np.abs(psis)).sum()) + ROUNDING * float(np.abs(step).sum())
+    rounding = (ROUNDING * abs(log_z) + d_err) * float(np.abs(t).sum())
+    return terms, _chain_rounding(terms) + rounding
 
 
 def _scaled_terms(spec: SeriesSpec, nodes, log_z: complex | None = None) -> np.ndarray:
@@ -232,8 +246,11 @@ def _pole_pair(delta: complex, m: int, a: float, log_l: complex) -> complex:
     )
 
 
-def _power_tails(alpha: complex, a: float, log_z: complex) -> np.ndarray:
-    """S_j = sum_{n >= a} z^n n^(-1-alpha-j), j = 0.._FIT_TERMS-1, z = e^log_z.
+def _power_tails(alpha: complex, a: float, log_z: complex) -> tuple:
+    """S_j = sum_{n >= a} z^n n^(-1-alpha-j), j = 0.._FIT_TERMS-1, z = e^log_z,
+    and the error of each S_j from its Erdelyi cusp term, which carries the
+    rounding of its exponent (gamma_ratio); the other parts are left to the
+    caller's fit gap.
 
     z = 1: Hurwitz zeta.  a |log z| <= 2: Erdelyi's expansion about z = 1
     (Higher Transcendental Functions I, 1.11(8)),
@@ -243,8 +260,9 @@ def _power_tails(alpha: complex, a: float, log_z: complex) -> np.ndarray:
     c_m the Taylor coefficients of 1/(1 - z e^-t); its smallest term is
     about e^(-a |log z|) of the first, so the caller makes a |log z| >= 36."""
     sigma = 1.0 + alpha + np.arange(_FIT_TERMS)
+    cusp_err = np.zeros(_FIT_TERMS)
     if log_z == 0:
-        return _hurwitz(sigma, a)
+        return _hurwitz(sigma, a), cusp_err
     if a * abs(log_z) <= 2.0:
         shift = round(alpha.real)
         delta = alpha - shift
@@ -262,8 +280,9 @@ def _power_tails(alpha: complex, a: float, log_z: complex) -> np.ndarray:
                 zeta[j, m - 1] = _pole_pair(delta, m, a, log_l)
                 cusp[j] = 0.0
             else:
-                cusp[j] = cmath.exp(log_gamma(1.0 - sg) + (sg - 1.0) * log_l)
-        return zeta @ powers + cusp
+                cusp[j], rel = gamma_ratio((sg - 1.0) * log_l, (1.0, 1.0 - sg))
+                cusp_err[j] = rel * abs(cusp[j])
+        return zeta @ powers + cusp, cusp_err
     m = np.arange(_LERCH_TERMS)
     g = -cmath.exp(log_z) * (-1.0) ** m / factorial(m)  # 1 - z e^-t
     g[0] = -complex(np.expm1(log_z))
@@ -276,7 +295,7 @@ def _power_tails(alpha: complex, a: float, log_z: complex) -> np.ndarray:
     # Each row stops at its smallest term.
     stop = np.argmin(np.abs(terms), axis=1)[:, None]
     series = np.where(m <= stop, terms, 0.0).sum(1)
-    return cmath.exp(a * log_z) * np.exp(-sigma * math.log(a)) * series
+    return cmath.exp(a * log_z) * np.exp(-sigma * math.log(a)) * series, cusp_err
 
 
 def _sum_near_unit(spec: SeriesSpec, shifted: bool = False) -> EvalResult:
@@ -287,7 +306,8 @@ def _sum_near_unit(spec: SeriesSpec, shifted: bool = False) -> EvalResult:
     same powers: d_n is O(1/n) with no log n.
 
     The error is the gap between two fits of the same tail (nodes n_cut 2^m,
-    m = 0..5 and m = 1..6) plus the rounding of the sums."""
+    m = 0..5 and m = 1..6), the error of the cusp terms in the tail sums and
+    the rounding of the direct sum and the tail."""
     z = spec.argument
     log_z = spec.log_argument if spec.log_argument is not None else cmath.log(z)
     alpha = sum(spec.lower) - sum(spec.upper)
@@ -300,20 +320,19 @@ def _sum_near_unit(spec: SeriesSpec, shifted: bool = False) -> EvalResult:
     n_cut = max(_N_CUT, math.ceil(32.0 * max(map(abs, spec.upper + spec.lower))))
     if (n_cut + 1) * abs(log_z) > 2.0:
         n_cut = max(n_cut, math.ceil(36.0 / abs(log_z)))
-    terms, d, _, _ = _shift_terms(spec, n_cut)
-    if shifted:
-        terms = terms * (log_z + d)
-    total, abs_sum = complex(terms.sum()), float(np.abs(terms).sum())
+    t, d, _, step, psis = _shift_terms(spec, n_cut)
+    terms, rounding = _shifted_sum(t, d, log_z, step, psis) if shifted else (t, _chain_rounding(t))
     nodes = [n_cut * 2**m for m in range(_FIT_TERMS + 1)]
     rhs = _scaled_terms(spec, nodes, log_z if shifted else None)
     vand = np.array([[(1.0 / n) ** j for j in range(_FIT_TERMS)] for n in nodes])
-    sums = _power_tails(alpha, n_cut + 1.0, log_z)
-    tail, tail_alt = (
-        complex(np.linalg.solve(vand[lo : lo + _FIT_TERMS], rhs[lo : lo + _FIT_TERMS]) @ sums)
-        for lo in (0, 1)
+    sums, sums_err = _power_tails(alpha, n_cut + 1.0, log_z)
+    coef, coef_alt = (
+        np.linalg.solve(vand[lo : lo + _FIT_TERMS], rhs[lo : lo + _FIT_TERMS]) for lo in (0, 1)
     )
-    err = abs(tail - tail_alt) + ROUNDING * (abs_sum + abs(tail))
-    return EvalResult(total + tail, err, Method.CLOSED_FORM)
+    tail = complex(coef @ sums)
+    fit = abs(tail - complex(coef_alt @ sums)) + float(np.abs(coef) @ sums_err)
+    err = fit + rounding + ROUNDING * abs(tail)
+    return EvalResult(complex(terms.sum()) + tail, err, Method.CLOSED_FORM)
 
 
 def pfq(spec: SeriesSpec) -> EvalResult:
@@ -324,8 +343,8 @@ def pfq(spec: SeriesSpec) -> EvalResult:
     """
     m_stop = _termination_order(spec)
     if m_stop is not None:
-        val, _ = _partial_sum(spec, m_stop + 1)
-        return EvalResult(val, 1e-15 * (1.0 + abs(val)), Method.CLOSED_FORM)
+        terms = np.fromiter(itertools.islice(_terms(spec), m_stop + 1), complex, m_stop + 1)
+        return EvalResult(complex(terms.sum()), _chain_rounding(terms), Method.CLOSED_FORM)
     az = abs(spec.argument)
     if az > 1.0 + 1e-14:
         raise DomainError(f"pFq series diverges for |z| = {az} > 1")
@@ -369,7 +388,8 @@ def pfq_shift_derivative(spec: SeriesSpec) -> EvalResult:
     that doubles until the last term ratio is below rho = (1 + |z|)/2 and the
     geometric majorant of the rest of sum |t_n| is below eps times it; the
     error is that tail times a bound on |log z + d_n| beyond it, plus the
-    rounding of the sum.  Nearer 1: _sum_near_unit."""
+    rounding of the terms and their sum (_shifted_sum).  Nearer 1:
+    _sum_near_unit."""
     if _termination_order(spec) is not None:
         raise DomainError("pfq_shift_derivative: the series terminates")
     log_z = spec.log_argument if spec.log_argument is not None else cmath.log(spec.argument)
@@ -377,18 +397,17 @@ def pfq_shift_derivative(spec: SeriesSpec) -> EvalResult:
         return _sum_near_unit(spec, shifted=True)
     rho = 0.5 * (1.0 + abs(spec.argument))
     for count in [2**j for j in range(5, 18)]:
-        t, d, ratio, step = _shift_terms(spec, count)
+        t, d, ratio, step, psis = _shift_terms(spec, count)
         tail = abs(t[-1]) * rho / (1.0 - rho)
         if abs(ratio) <= rho and tail <= _EPS * float(np.abs(t).sum()):
             break
     else:
         raise ConvergenceError("pfq_shift_derivative: no convergence within 131,072 terms")
-    terms = t * (log_z + d)
+    terms, rounding = _shifted_sum(t, d, log_z, step, psis)
     # |d_n - d_N| <= sum_{i >= N} |d_(i+1) - d_i|, about N |d_N - d_(N-1)| for
     # steps that fall like 1/i^2.
-    reach = abs(log_z + d[-1]) + count * abs(step)
-    err = tail * reach + ROUNDING * float(np.abs(terms).sum())
-    return EvalResult(complex(terms.sum()), err, Method.CLOSED_FORM)
+    reach = abs(log_z + d[-1]) + count * abs(step[-1])
+    return EvalResult(complex(terms.sum()), tail * reach + rounding, Method.CLOSED_FORM)
 
 
 def family_spec(r: int, s: complex, w: complex, log_w: complex | None = None) -> SeriesSpec:
@@ -440,17 +459,9 @@ def pfq_continued(r: int, s: complex, w: float, branch: ContinuationBranch) -> E
     allowed and stays on the real axis; both branches then agree)."""
     if w <= 0:
         raise DomainError("pfq_continued expects argument > 0")
-    if abs(s.imag) < 1e-9 and s.real > 0:
-        m = round((s.real - 1.0) / 2.0)
-        if m >= 0 and abs(s.real - (2 * m + 1)) < 1e-6 and w > 1.0:
-            raise NearDegenerateParameterError(
-                "s within 1e-6 of an odd positive integer, where the continuation is 0/0"
-            )
     spec = family_spec(r, s, w)
-    m_stop = _termination_order(spec)
-    if m_stop is not None:
-        val, _ = _partial_sum(spec, m_stop + 1)
-        return EvalResult(val, 1e-14 * (1.0 + abs(val)), Method.CLOSED_FORM)
+    if _termination_order(spec) is not None:
+        return pfq(spec)
     if abs(w - 1.0) < 10 * _ODE_ATOL:
         raise DomainError("pfq_continued: argument pinned at the singularity z = 1")
 

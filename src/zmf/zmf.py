@@ -8,15 +8,18 @@ Coverage map (dispatcher `w`):
     |k| < 2^r   r = 1               three-case closed form (w1)
                 r = 2               two-term 3F2 combination (w2)
                 r = 3               three-term formula with a Meijer G (w3)
-                r = 4, real s > 0   continuation formula (w_real_s)
+                r = 4, Re s > -1    (F(k) + F(-k)) / (1 + e^{i pi s}) (h_rs): one
+                                    continuation walk at real s (w_real_s), two
+                                    at complex s
                 k = 0, any r        product of one-factor moments
 
 At r = 2, 3, 4 and s within 1/32 of an odd n >= 1, where the closed forms
-carry tan(pi s / 2) into a 0/0, the value is a circle in s around n
-(_odd_limit): w2 and w3 take it themselves, and w takes it through h_rs at
-r = 4.  w2_odd, the paper's Meijer-G formula for W_2 at odd n, checks that
-circle.  The Meijer-G blocks of w3 and w2_odd are summed as their right-pole
-residue series (meijer.meijer_mb).
+are a 0/0 (tan(pi s / 2) at r = 2, 3, the vanishing 1 + e^{i pi s} at r = 4),
+the value is a circle in s around n (_odd_limit): w2 and w3 take it
+themselves, and w takes it through h_rs at r = 4.  w2_odd, the paper's
+Meijer-G formula for W_2 at odd n, checks that circle.  The Meijer-G blocks
+of w3 and w2_odd are summed as their right-pole residue series
+(meijer.meijer_mb).
 
 The heavy-regime formulas all analytically continue the same hypergeometric
 family past its z = 1 singularity; the continuation half-plane is fixed once
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
-from .gamma import cpow, nearest_int
+from .gamma import _POLE_TOL, cpow, nearest_int
 from .hyper import (
     ContinuationBranch,
     SeriesSpec,
@@ -55,9 +58,6 @@ CONTINUATION_BRANCH = ContinuationBranch.FROM_BELOW
 # keeps every node outside that window.
 _ODD_RADIUS = 0.25
 _ODD_NODES = 16
-# Distance below which s counts as an integer (the W_1 pole test) and an
-# imaginary part below which s or z counts as real.
-_PARAM_TOL = 1e-12
 
 
 def _edge_log(r: int, k: float):
@@ -95,7 +95,7 @@ def w1(k: float, s: complex) -> EvalResult:
         )
         return EvalResult(val, rel * abs(val), Method.CLOSED_FORM)
     # |k| < 2: prefactor 4^s Gamma((1+s)/2)^2 / (pi Gamma(1+s)) in log space.
-    n = nearest_int(s, _PARAM_TOL)
+    n = nearest_int(s, _POLE_TOL)
     if n is not None and n <= -1:
         if n % 2 != 0:
             # Double pole of Gamma((1+s)/2)^2 against a single pole of
@@ -134,8 +134,8 @@ def w_light(r: int, k: float, s: complex) -> EvalResult:
 
 
 def w_real_s(r: int, k: float, s: float) -> EvalResult:
-    """W_r(k;s) for real s > 0 (s not odd) and 0 < |k| < 2^r via the
-    continuation of the family series to w = 4^r/k^2 > 1."""
+    """W_r(k;s) at real s and 0 < |k| < 2^r: the real part of h_rs, which
+    takes one continuation walk at real s."""
     k = abs(float(k))
     s = float(s)
     check_finite(k, s)
@@ -143,13 +143,8 @@ def w_real_s(r: int, k: float, s: float) -> EvalResult:
         raise DomainError("w_real_s supports 1 <= r <= 4")
     if not 0.0 < k < 2.0**r:
         raise DomainError("w_real_s requires 0 < |k| < 2^r")
-    if s <= 0.0:
-        raise DomainError("w_real_s requires real s > 0")
-    f = pfq_continued(r, s, 4.0**r / (k * k), CONTINUATION_BRANCH)
-    t = math.tan(0.5 * math.pi * s)
-    val = k**s * (f.value.real + t * f.value.imag)
-    err = k**s * (1.0 + abs(t)) * f.abs_err
-    return EvalResult(complex(val), err, f.method)
+    h = h_rs(r, k, s)
+    return EvalResult(complex(h.value.real), h.abs_err, h.method)
 
 
 def _w_zero(r: int, s: complex) -> EvalResult:
@@ -277,56 +272,59 @@ def w3(k: float, s: complex) -> EvalResult:
     return EvalResult(total, err + 1e-13 * (1.0 + abs(total)), Method.CLOSED_FORM)
 
 
-def f_rs(r: int, s: complex, z: complex) -> EvalResult:
-    """The one-sided building block F_{r,s}(z) = int x^s p_hat_r(x - z) dx.
-
-    For |z| > 2^r this is the plain series; for real z in [-2^r, 2^r] the
-    boundary value from the upper half-plane is returned (principal powers).
-    Genuinely complex z inside the disk is out of the supported envelope.
-    """
+def f_rs(r: int, s: complex, x: float) -> EvalResult:
+    """The one-sided building block F_{r,s}(x) = int t^s p_hat_r(t - x) dt at
+    real x: x^s (principal power, e^{i pi s} |x|^s for x < 0) times the
+    family series in 4^r/x^2.  For |x| >= 2^r that is w_light at |x|; inside
+    the disk it is the boundary value from the upper half x-plane, the
+    series continued past its singularity (pfq_continued)."""
     s = complex(s)
-    z = complex(z)
-    edge = 2.0**r
-    if z == 0:
-        raise DomainError("F_{r,s} is singular at z = 0")
-    if abs(z) > edge:
-        log_w = -_edge_log(r, abs(z.real)) if z.imag == 0 else None
-        f = pfq(family_spec(r, s, 4.0**r / (z * z), log_w))
-        scale = cpow(z, s)
-        return EvalResult(scale * f.value, abs(scale) * f.abs_err, Method.CLOSED_FORM)
-    if abs(z.imag) > _PARAM_TOL:
-        raise DomainError(
-            "F_{r,s} inside the disk |z| <= 2^r is only supported for real z"
-        )
-    x = z.real
-    if abs(x) == edge:
-        if s.real <= -r / 2.0:
-            raise DomainError("F_{r,s} at |z| = 2^r requires Re(s) > -r/2")
-        f = pfq(family_spec(r, s, 1.0))
+    x = float(x)
+    check_finite(x, s)
+    if x == 0.0:
+        raise DomainError("F_{r,s} is singular at x = 0")
+    k = abs(x)
+    if k >= 2.0**r:
+        res = w_light(r, k, s)
     else:
-        # Continuation branch: z just above the real axis maps to
-        # w = 4^r/z^2 just below (x > 0) or above (x < 0) the real w-axis,
-        # so x < 0 takes the branch opposite to CONTINUATION_BRANCH.
+        # x just above the real axis maps to w = 4^r/x^2 just below (x > 0)
+        # or above (x < 0) the real w-axis, so x < 0 takes the branch
+        # opposite to CONTINUATION_BRANCH.
         branch = CONTINUATION_BRANCH
         if x < 0:
             (branch,) = set(ContinuationBranch) - {CONTINUATION_BRANCH}
-        f = pfq_continued(r, s, 4.0**r / (x * x), branch)
-    scale = cpow(complex(x), s)  # principal branch: e^{i pi s} |x|^s for x < 0
-    return EvalResult(scale * f.value, abs(scale) * f.abs_err, f.method)
+        f = pfq_continued(r, s, 4.0**r / (k * k), branch)
+        scale = cpow(k, s)
+        res = EvalResult(scale * f.value, abs(scale) * f.abs_err, f.method)
+    if x > 0:
+        return res
+    phase = cmath.exp(1j * math.pi * s)
+    err = abs(phase) * (res.abs_err + ROUNDING * math.pi * abs(s) * abs(res.value))
+    return EvalResult(phase * res.value, err, res.method)
 
 
 def h_rs(r: int, k: float, s: complex) -> EvalResult:
     """H_{r,s}(|k|) = (F_{r,s}(|k|) + F_{r,s}(-|k|)) / (1 + e^{i pi s}),
-    which recovers W_r(k;s) for |k| < 2^r."""
+    which is W_r(k;s) for 0 < |k| < 2^r and Re s > -1.
+
+    At real s the two continuation branches are conjugate, F(-k) =
+    e^{i pi s} conj F(k), so one walk serves; complex s takes two."""
     k = abs(float(k))
-    fp = f_rs(r, s, k)
-    fm = f_rs(r, s, -k)
-    denom = 1.0 + cmath.exp(1j * math.pi * complex(s))
+    s = complex(s)
+    if s.real <= -1.0:
+        raise DomainError("H_{r,s} requires Re(s) > -1")
+    phase = cmath.exp(1j * math.pi * s)
+    denom = 1.0 + phase
     if abs(denom) < 1e-10:
         raise PoleError("H_{r,s}: 1 + e^{i pi s} vanishes (odd integer s)")
+    fp = f_rs(r, s, k)
+    if s.imag == 0.0:
+        fm = EvalResult(phase * fp.value.conjugate(), fp.abs_err, fp.method)
+    else:
+        fm = f_rs(r, s, -k)
     val = (fp.value + fm.value) / denom
     err = (fp.abs_err + fm.abs_err) / abs(denom)
-    return EvalResult(val, err, Method.CLOSED_FORM)
+    return EvalResult(val, err, fp.method)
 
 
 @dataclass(frozen=True)
@@ -426,11 +424,9 @@ def w(r: int, k: float, s: complex, method: str | None = None) -> EvalResult:
         n = _odd_center(s)
         if n is not None:
             return _odd_limit(lambda z: h_rs(4, k, z), n, s)
-        if abs(s.imag) <= _PARAM_TOL and s.real > 0:
-            return w_real_s(r, k, s.real)
-        raise DomainError(
-            "heavy regime at r = 4 is supported for real s > 0 only"
-        )
+        if s.imag == 0.0:
+            return w_real_s(4, k, s.real)
+        return h_rs(4, k, s)
     raise DomainError(
         "no closed form for the heavy regime at r >= 5; use method='monte-carlo'"
     )

@@ -100,8 +100,14 @@ def test_criterion_04_real_s_continuation_route():
     oracle = density_quadrature(ZmfPoint(4, 8.0, 2.0), QuadratureConfig(tol=1e-6))
     gap4 = abs(w_real_s(4, 8.0, 2.0).value - oracle.value)
     ok = ok and gap4 < 1e-4
+    # Complex s at r = 4: two continuation walks.
+    point = ZmfPoint(4, 2.5, 1.2 + 0.8j)
+    res = w(point.r, point.k, point.s)
+    oracle = density_quadrature(point, QuadratureConfig(tol=1e-10))
+    gap4c = abs(res.value - oracle.value)
+    ok = ok and gap4c <= res.abs_err + oracle.abs_err
     report(4, "continuation route vs closed forms and r=4 oracle", ok,
-           f"worst {worst:.2e}, r=4 gap {gap4:.2e}")
+           f"worst {worst:.2e}, r=4 gap {gap4:.2e}, complex s gap {gap4c:.2e}")
 
 
 def test_criterion_05_functional_equations():

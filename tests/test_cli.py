@@ -86,6 +86,15 @@ class TestEval:
         assert rec["method"] == "contour"
         assert rec["abs_err"] < 1e-10
 
+    def test_r4_complex_s(self, capsys):
+        # Exited 2: the r = 4 heavy route took real s > 0 only.
+        code, out, _ = run_cli(
+            capsys, "eval", "--r", "4", "--k", "2.5", "--s-re", "1.2", "--s-im", "0.8",
+            "--method", "closed-form",
+        )
+        assert code == 0
+        assert json.loads(out)["abs_err"] < 1e-9
+
     def test_oracle_check_outside_torus_domain_warns(self, capsys):
         # The torus oracle refuses r = 2, |k| < 4, s < -1/2; the closed form
         # is still printed and the missing cross-check is a warning.

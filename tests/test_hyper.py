@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -16,6 +17,7 @@ from zmf.hyper import (
     family_spec,
     pfq,
     pfq_continued,
+    pfq_shift_derivative,
 )
 
 
@@ -65,6 +67,62 @@ def test_near_unit_argument(z):
     assert got == pytest.approx(want, rel=2e-12)
 
 
+@pytest.mark.parametrize("upper, z", [((-40.0, 1.0), 2.0), ((-30.0, 1.0), 1.0)])
+def test_terminating_bar_measures_cancellation(upper, z):
+    # (1 - z)^40 = 1 summed to -512.0004 with abs_err 5.1e-13, and (1 - 1)^30 = 0
+    # to 5.3e-14 with abs_err 1.0e-15: the bar was 1e-15 (1 + |value|).
+    res = pfq(SeriesSpec(upper, (1.0,), z))
+    with mpmath.workdps(30):
+        want = mp_ref(upper, (1.0,), z)
+    assert abs(res.value - want) <= res.abs_err
+
+
+def test_near_unit_cusp_carries_its_rounding():
+    # 7.2e-15 relative off with a 1.5e-15 bar: the Erdelyi cusp term is the
+    # exp of an exponent of size 32.6, whose rounding the bar left out.
+    upper, lower, z = (2.0433381847276006, 2.2612930965577425), (0.7308049059017094,), 0.999844138998241
+    res = pfq(SeriesSpec(upper, lower, z))
+    with mpmath.workdps(30):
+        want = mp_ref(upper, lower, z)
+    assert abs(res.value - want) <= res.abs_err
+
+
+def _mp_shift_derivative(spec):
+    """sum_n t_n (log z + d_n) in 30-digit mpmath, as the derivative at e = 0 of
+    z^e G(e) F(e) / G(0): G(e) = prod Gamma(a + e) / (prod Gamma(b + e) Gamma(1 + e))
+    and F(e) = (p+2)F(p+1)(a + e, 1; b + e, 1 + e; z)."""
+    with mpmath.workdps(30):
+        up, lo = list(map(mpmath.mpmathify, spec.upper)), list(map(mpmath.mpmathify, spec.lower))
+        z = mpmath.mpmathify(spec.argument)
+
+        def gam(e):
+            return mpmath.fprod(mpmath.gamma(a + e) for a in up) / mpmath.fprod(
+                mpmath.gamma(b + e) for b in lo + [1]
+            )
+
+        def scaled(e):
+            return z**e * gam(e) * mpmath.hyper([a + e for a in up] + [1], [b + e for b in lo + [1]], z)
+
+        return complex(mpmath.diff(scaled, 0) / gam(0))
+
+
+def test_shift_derivative_error_bar_sweep():
+    # 3F2 specs with complex parameters half of the time and 0.3 < z < 0.98.
+    # 16 of these 24 were off by more than abs_err, the worst by 56x: the bar
+    # left out the ratio chain of t_n and the error of log z + d_n.
+    rng = random.Random(1)
+
+    def param(lo):
+        x = rng.uniform(lo, 2.5)
+        return complex(x, rng.uniform(-1.5, 1.5)) if rng.random() < 0.5 else complex(x)
+
+    for _ in range(24):
+        upper, lower = tuple(param(0.2) for _ in range(3)), tuple(param(0.3) for _ in range(2))
+        spec = SeriesSpec(upper, lower, rng.uniform(0.3, 0.98))
+        res = pfq_shift_derivative(spec)
+        assert abs(res.value - _mp_shift_derivative(spec)) <= res.abs_err
+
+
 def test_theta_derivative_initial_conditions():
     # (theta^j F)(z) = d^j/du^j F(e^u) at u = log z, theta = z d/dz; these
     # seed the continuation ODE
@@ -93,7 +151,7 @@ def test_theta_derivative_initial_conditions():
 def test_shift_terms_match_scalar_terms_and_digamma(spec):
     # The numpy products and sums against the scalar recurrence and against
     # d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n) at each n.
-    t, d, _, _ = _shift_terms(spec, 200)
+    t, d, *_ = _shift_terms(spec, 200)
     scalar = _terms(spec)
     want_t = [next(scalar) for _ in range(201)]
     assert max(abs(x - y) / abs(y) for x, y in zip(t, want_t)) <= 200 * 2.0**-52
@@ -169,7 +227,7 @@ def test_power_tails_against_lerch(alpha, log_z):
     # The near-integer alphas exercise the combined pole pair, alpha = 1 its
     # log form; Im log z = pi is the z -> -1 rim.
     a = 1001.0 if abs(log_z) * 1001 <= 2 else max(1001.0, math.ceil(36 / abs(log_z)) + 1.0)
-    got = _power_tails(complex(alpha), a, complex(log_z))
+    got, _ = _power_tails(complex(alpha), a, complex(log_z))
     # z^a = e^(a log z) carries the rounding of a log z.
     rel = 1e-13 + 8 * 2.0**-52 * a * abs(log_z)
     with mpmath.workdps(40):

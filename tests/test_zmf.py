@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zmf.zmf as zmf_module
-from zmf.errors import DomainError, NearDegenerateParameterError, PoleError, ZmfError
+from zmf.errors import DomainError, PoleError, ZmfError
 from zmf.meijer import meijer_mb, meijer_triple_integral, w3_g_spec
 from zmf.oracle import torus_quadrature
 from zmf.types import Method, QuadratureConfig, Regime, ZmfPoint
@@ -77,6 +77,13 @@ class TestW1:
     def test_boundary_domain_limit(self):
         with pytest.raises(DomainError):
             w1(2.0, -0.6)
+
+    @pytest.mark.parametrize("s", [1e-9, 2.0 + 1e-9])
+    def test_no_snap_to_a_terminating_series(self, s):
+        # -s/2 within 1e-9 of 0 or -1 ended the light series: 1.4e-10 and
+        # 6.0e-11 off with abs_err 2.0e-15 and 2.0e-14.
+        res = w1(3.0, s)
+        assert abs(res.value - _mp_w1(3.0, s)) <= res.abs_err
 
     def test_heavy_pole_and_trivial_zero(self):
         with pytest.raises(PoleError):
@@ -197,6 +204,19 @@ class TestShiftedMomentFunction:
         want = w1(3.0, 2.0).value
         assert val == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("r, k, s", [(2, 1.5, 1.3), (4, 2.5, 2.5), (4, 9.0, -0.6)])
+    def test_real_s_takes_one_walk(self, monkeypatch, r, k, s):
+        # At real s, F(-k) = e^{i pi s} conj F(k) replaces the second walk.
+        calls = []
+        real_walk = zmf_module.pfq_continued
+        monkeypatch.setattr(
+            zmf_module, "pfq_continued", lambda *a: calls.append(a) or real_walk(*a)
+        )
+        got = h_rs(r, k, s)
+        assert len(calls) == 1
+        two_walk = (f_rs(r, s, k).value + f_rs(r, s, -k).value) / (1.0 + cmath.exp(1j * math.pi * s))
+        assert abs(got.value - two_walk) <= 1e-14 * abs(two_walk)
+
 
 class TestDerivatives:
     def test_boundary_derivative(self):
@@ -240,6 +260,14 @@ class TestDispatcher:
     def test_r4_real_s(self):
         # E(8 + prod)^2 = 64 + 2^4
         assert w(4, 8.0, 2.0).value.real == pytest.approx(80.0, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "k, s", [(1.5, 0.4 - 2j), (4.0, -0.2 + 1.5j), (9.0, 2.5 + 1j), (6.0, -0.6), (12.5, -0.3)]
+    )
+    def test_r4_complex_and_negative_s(self, k, s):
+        # Both raised DomainError: the r = 4 heavy route took real s > 0 only.
+        res = w(4, k, s)
+        assert abs(res.value - _mp_heavy(4, k, s)) <= res.abs_err
 
     @pytest.mark.parametrize(
         "k, s", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, complex(1.0, math.inf))]
@@ -310,10 +338,15 @@ class TestNearOddS:
         assert abs(res.value - ref) <= 1e-12 * abs(ref)
         assert res.abs_err <= 1e-8 * abs(ref)
 
-    def test_real_s_route_still_rejects_odd_s(self):
-        # The continuation itself raises within 1e-6 of an odd s.
-        with pytest.raises(NearDegenerateParameterError):
-            w_real_s(2, 1.0, 1.0 + 5e-7)
+    def test_real_s_route_next_to_odd_s(self):
+        # The continuation raised NearDegenerateParameterError within 1e-6 of
+        # an odd s.  That guard hid a snap: an upper parameter within 1e-9 of
+        # 0 ended the series, so w_real_s(2, 1.0, 1 + 1e-9) returned 1
+        # against 1.8379.
+        for r, k in ((2, 1.0), (4, 2.5)):
+            for s in (1.0 + 1e-9, 1.0 - 3e-7, 3.0 + 1e-6, 3.0 - 1e-9):
+                res = w_real_s(r, k, s)
+                assert abs(res.value - _mp_heavy(r, k, s)) <= res.abs_err
 
 
 def _mp_w_zero(r, s):
