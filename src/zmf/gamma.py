@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 
+import numpy as np
 from scipy.special import loggamma
 
 from .errors import PoleError
@@ -26,11 +27,26 @@ def nearest_int(z: complex, tol: float):
     return n if abs(z.real - n) <= tol else None
 
 
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z).
+def pole_order(z, tol: float) -> np.ndarray:
+    """Elementwise m >= 0 where z lies within tol of the non-positive integer
+    -m (a pole of Gamma), else inf."""
+    z = np.asarray(z, dtype=complex)
+    if z.real.min() > tol:
+        return np.full(z.shape, np.inf)
+    n = np.rint(z.real)
+    near = (z == n) if tol == 0.0 else np.maximum(np.abs(z.real - n), np.abs(z.imag)) <= tol
+    return np.where(near & (n <= 0), -n, np.inf)
+
+
+def log_gamma(z):
+    """Principal branch of log Gamma(z), elementwise for an array of lanes.
 
     Raises PoleError within 1e-12 of the non-positive integers.
     """
+    if isinstance(z, np.ndarray):
+        if z.real.min() <= _POLE_TOL and np.isfinite(pole_order(z, _POLE_TOL)).any():
+            raise PoleError(f"log_gamma: a lane is within {_POLE_TOL} of a pole")
+        return loggamma(z.astype(complex, copy=False))
     z = complex(z)
     n = nearest_int(z, _POLE_TOL)
     if n is not None and n <= 0:

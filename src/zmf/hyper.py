@@ -18,23 +18,35 @@ Three evaluation mechanisms live here:
   zmf needs.
 
 The first two also sum pfq_shift_derivative, the residue series of a double
-Mellin-Barnes pole; gamma_ratio gives Gamma prefactors with their error.
+Mellin-Barnes pole, together with the plain sum of the same terms;
+gamma_ratio gives Gamma prefactors with their error.
+
+Lanes: a SeriesSpec whose parameters are 1-d arrays (one shared argument)
+is summed by one numpy term recurrence over all its lanes (_shift_terms,
+_lane_sums), the way Johansson (ACM TOMS 45 (2019), art. 30) sums a series
+over many parameter sets; gamma_ratio takes lanes too.  Each lane stops at
+the count its own one-lane call reaches, and every product and sum over the
+parameters runs lane by lane, so a lane's value and error are bit-identical
+to that call.  A scalar spec keeps pfq's Python loop, the faster path for
+short series; pfq_shift_derivative sums it as one lane.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import comb, factorial, polygamma, psi
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .gamma import log_gamma, nearest_int
-from .types import ROUNDING, EvalResult, Method
+from .gamma import log_gamma, nearest_int, pole_order
+from .types import ROUNDING, EvalResult, Method, lane_params, stack
 
 _MAX_TERMS = 200_000
 _TOL = 1e-13
@@ -48,6 +60,13 @@ _LG_ERR = 32 * _EPS
 # charges 32 eps per unit of that scale.
 _PSI_ERR = 32 * _EPS
 _INT_TOL = 1e-9
+# The numpy sums start from where |z|^n < e^-40 (eps is e^-36), at least
+# _FIRST_COUNT and at most _START_MAX terms (next to |z| = 1 the algebraic
+# decay n^(-1-alpha) of the terms ends most series sooner), and double the
+# count until every lane has converged.
+_FIRST_COUNT = 16
+_START_MAX = 4096
+_MAX_COUNT = 2**17
 
 # Near-unit tail: direct terms to _N_CUT, then _FIT_TERMS fitted powers.
 _N_CUT = 1000
@@ -67,10 +86,22 @@ _DEG = np.arange(len(_BERNOULLI))
 _BERNOULLI_POLY = comb(_DEG[:, None], _DEG) * _BERNOULLI[np.abs(_DEG[:, None] - _DEG)]
 
 
-def gamma_ratio(c0: complex, *factors) -> tuple[complex, float]:
+def gamma_ratio(c0: complex, *factors) -> tuple:
     """exp(c0 + sum_i c_i log Gamma(z_i)) over factors (c_i, z_i), and its
     relative error: _LG_ERR |c_i| (1 + |log Gamma(z_i)|) per factor plus the
-    rounding of the exponent, ROUNDING (1 + |c0| + |exponent|)."""
+    rounding of the exponent, ROUNDING (1 + |c0| + |exponent|).  c0 and the
+    z_i may be arrays of lanes."""
+    lanes = [len(z) for _, z in factors if type(z) is np.ndarray]
+    if lanes:
+        # One log_gamma call over (lane, factor); numpy sums a last axis lane
+        # by lane, so each lane's sum does not depend on the other lanes.
+        grid = np.empty((lanes[0], len(factors)), dtype=complex)
+        for j, (_, z) in enumerate(factors):
+            grid[:, j] = z
+        terms = np.array([c for c, _ in factors]) * log_gamma(grid)
+        total = c0 + terms.sum(-1)
+        err = _LG_ERR * (sum(abs(c) for c, _ in factors) + np.abs(terms).sum(-1))
+        return np.exp(total), err + ROUNDING * (1.0 + abs(c0) + abs(total))
     total, err = c0, 0.0
     for c, z in factors:
         lg = log_gamma(z)
@@ -88,7 +119,8 @@ class ContinuationBranch(str, enum.Enum):
 class SeriesSpec:
     """Parameters of a p+1Fp series: upper (a_1..a_{p+1}), lower (b_1..b_p)
     and the argument z.  log_argument, when given, is log z computed from an
-    exact distance to z = 1; the near-unit tail reads it instead of log z."""
+    exact distance to z = 1; the near-unit tail reads it instead of log z.
+    Parameters may be 1-d arrays over lanes, which share the argument."""
 
     upper: tuple
     lower: tuple
@@ -98,9 +130,33 @@ class SeriesSpec:
     def __post_init__(self):
         if len(self.upper) != len(self.lower) + 1:
             raise ValueError("need len(upper) == len(lower) + 1")
-        object.__setattr__(self, "upper", tuple(complex(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(complex(b) for b in self.lower))
+        params = lane_params(self.upper + self.lower)
+        object.__setattr__(self, "upper", params[: len(self.upper)])
+        object.__setattr__(self, "lower", params[len(self.upper) :])
         object.__setattr__(self, "argument", complex(self.argument))
+
+    @property
+    def lanes(self) -> int:
+        """The number of lanes; 0 for scalar parameters."""
+        return len(self.upper[0]) if isinstance(self.upper[0], np.ndarray) else 0
+
+    def lane(self, i: int) -> SeriesSpec:
+        """Lane i as a scalar spec."""
+        return SeriesSpec(
+            tuple(complex(p[i]) for p in self.upper), tuple(complex(p[i]) for p in self.lower),
+            self.argument, self.log_argument,
+        )
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """a_1.., b_1.. and the 1 of (1 + n) as an array of (parameter,
+        lane), real when they and the argument are; a scalar spec is one
+        lane."""
+        one = np.ones(self.lanes) if self.lanes else 1.0
+        rows = np.array(self.upper + self.lower + (one,), dtype=complex)
+        if self.argument.imag == 0.0 and not rows.imag.any():
+            rows = rows.real.copy()
+        return rows if self.lanes else rows[:, None]
 
 
 def _as_nonpositive_int(x: complex, tol: float):
@@ -129,6 +185,22 @@ def _termination_order(spec: SeriesSpec):
     return m_stop
 
 
+def _termination_orders(spec: SeriesSpec):
+    """_termination_order over the lanes of spec, inf for a full series; None
+    when no lane terminates or reaches a pole."""
+    rows, up = spec.rows[:-1], len(spec.upper)
+    if rows.real.min() > _INT_TOL or np.abs(rows - np.rint(rows.real)).min() > _INT_TOL:
+        return None
+    m_stop = pole_order(rows[:up], 0.0).min(0)
+    m_pole = pole_order(rows[up:], _INT_TOL).min(0, initial=np.inf)
+    if (m_stop > m_pole).any():
+        raise PoleError(
+            "pFq: a lane's lower parameter is a non-positive integer and its "
+            "series does not terminate before the pole"
+        )
+    return m_stop if np.isfinite(m_stop).any() else None
+
+
 def _terms(spec: SeriesSpec):
     """The series terms t_0 = 1, t_1, ... at spec.argument, each from the
     last by t_{n+1} / t_n = z prod(a + n) / ((n + 1) prod(b + n))."""
@@ -147,40 +219,167 @@ def _terms(spec: SeriesSpec):
         n += 1.0
 
 
-def _chain_rounding(terms: np.ndarray) -> float:
-    """Rounding of the sum of terms t_0, t_1, ... made by a chain of ratios:
-    t_n carries about n roundings from the chain and one from the sum."""
-    return ROUNDING * float(np.abs(terms) @ np.arange(1.0, len(terms) + 1.0))
+def _chain_rounding(terms: np.ndarray):
+    """Rounding of the sum of terms t_0, t_1, ... (the last axis) made by a
+    chain of ratios: t_n carries about n roundings from the chain and one
+    from the sum."""
+    return ROUNDING * (np.abs(terms) * np.arange(1.0, terms.shape[-1] + 1.0)).sum(-1)
 
 
-def _shift_terms(spec: SeriesSpec, count: int) -> tuple:
-    """t_n and d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n), n <= count,
-    by t_(n+1)/t_n = z prod(a + n) / ((1 + n) prod(b + n)) and d_(n+1) - d_n =
-    sum 1/(a + n) - sum 1/(b + n) - 1/(1 + n), then the last ratio, the steps
-    and the digammas psi(p) at n = 0.
-    A real series runs in real arithmetic, which is also where scipy's digamma
-    is fast: its complex one sums a slow series near its root 1.46."""
-    params, z = np.array(spec.upper + spec.lower + (1.0,)), spec.argument
-    if not params.imag.any() and z.imag == 0.0:
-        params, z = params.real, z.real
-    up = len(spec.upper)
-    shifted = params[:, None] + np.arange(float(count))
-    ratio = z * shifted[:up].prod(0) / shifted[up:].prod(0)
-    step = (1.0 / shifted[:up]).sum(0) - (1.0 / shifted[up:]).sum(0)
-    t = np.concatenate(([1.0], np.cumprod(ratio)))
-    psis = psi(params)
-    d = psis[:up].sum() - psis[up:].sum() + np.concatenate(([0.0], np.cumsum(step)))
-    return t, d, ratio[-1], step, psis
+def _sum(x: np.ndarray) -> np.ndarray:
+    """x summed over its last axis, as complex.  A complex x is summed part
+    by part: a lane with real values then gets the bits of the same sum
+    over a real array, which numpy orders differently from a complex one."""
+    if x.dtype.kind == "f":
+        return x.sum(-1) + 0j
+    return x.real.sum(-1) + 1j * x.imag.sum(-1)
 
 
-def _shifted_sum(t, d, log_z: complex, step, psis) -> tuple:
+def _psi(params: np.ndarray, up: int) -> tuple:
+    """sum psi(a) - sum psi(b) over the last axis, the first up parameters
+    being the a, and the scale of its error, sum_j 1 + |psi(p_j)|.  A
+    complex p takes psi(p) = psi(p + 2) - 1/p - 1/(p + 1), with scale
+    1 + |psi(p + 2)| + |1/p + 1/(p + 1)|: scipy's complex digamma takes
+    5-8 us a value left of Re p = 2 (a slow series next to its roots and 0)
+    against 0.5 us beyond, and its real one 0.1 us."""
+    vals = psi(params.real)
+    scale = 1.0 + np.abs(vals)
+    if params.dtype.kind == "c":
+        vals = vals.astype(complex)
+        cplx = params.imag != 0.0
+        p = params[cplx]
+        inv = 1.0 / p + 1.0 / (p + 1.0)
+        far = psi(p + 2.0)
+        vals[cplx], scale[cplx] = far - inv, 1.0 + np.abs(far) + np.abs(inv)
+    return _sum(vals[:, :up]) - _sum(vals[:, up:]), scale.sum(-1)
+
+
+def _shift_terms(spec: SeriesSpec, count: int, prev: tuple | None = None, shifted: bool = True):
+    """t_n for n <= count by t_(n+1)/t_n = z prod(a + n) / ((1 + n) prod(b + n)),
+    and with shifted d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n) by
+    d_(n+1) - d_n = sum 1/(a + n) - sum 1/(b + n) - 1/(1 + n); then the ratios,
+    the steps and the error scale of the digammas psi(p) at n = 0 (_psi; None
+    without shifted).  Rows are lanes (a scalar spec is one lane).
+
+    prev, the output of a call at a smaller count, is extended from its last
+    term and step, so doubling the count computes the new terms only and the
+    digammas once.  The arithmetic is elementwise, real when the parameters
+    and z are (spec.rows), and the products and sums over the parameters run
+    over the first axis of (parameter, lane, term) blocks of at least
+    _FIRST_COUNT terms, which numpy reduces element by element in parameter
+    order (over a first axis with one element behind it it sums pairwise
+    instead).  Complex arithmetic on a real lane gives the bits of real
+    arithmetic for these steps, a quotient being a product by a reciprocal
+    for that reason, so each lane's numbers do not depend on the other
+    lanes."""
+    up, params = len(spec.upper), spec.rows
+    z = spec.argument if params.dtype.kind == "c" else spec.argument.real
+    if prev is None:
+        t = np.ones((params.shape[1], 1), dtype=params.dtype)
+        ratio = step = d = psi_scale = None
+        if shifted:
+            d, psi_scale = _psi(np.ascontiguousarray(params.T), up)
+            d = d[:, None]
+    else:
+        t, d, ratio, step, psi_scale = prev
+    rows = params[:, :, None] + np.arange(t.shape[1] - 1, count, dtype=float)
+    new = z * rows[:up].prod(0) * (1.0 / rows[up:].prod(0))
+    block = np.cumprod(np.concatenate((t[:, -1:], new), axis=1), axis=1)
+    t = block if prev is None else np.concatenate((t, block[:, 1:]), axis=1)
+    ratio = new if prev is None else np.concatenate((ratio, new), axis=1)
+    if shifted:
+        inv = 1.0 / rows
+        new = inv[:up].sum(0) - inv[up:].sum(0)
+        block = np.cumsum(np.concatenate((d[:, -1:], new), axis=1), axis=1)
+        d = block if prev is None else np.concatenate((d, block[:, 1:]), axis=1)
+        step = new if prev is None else np.concatenate((step, new), axis=1)
+    return t, d, ratio, step, psi_scale
+
+
+def _shifted_sum(t, d, log_z: complex, step, psi_scale, abs_sum) -> tuple:
     """The terms t_n (log z + d_n) of _shift_terms and the rounding of their
-    sum: that of the ratio chain of t_n (_chain_rounding), of log z, and of
-    d_n, which carries the digammas' error and the steps summed into it."""
+    sum (the last axis), given abs_sum = sum |t_n|: that of the ratio chain of
+    t_n (_chain_rounding), of log z, and of d_n, which carries the digammas'
+    error and the steps summed into it."""
     terms = t * (log_z + d)
-    d_err = _PSI_ERR * float((1.0 + np.abs(psis)).sum()) + ROUNDING * float(np.abs(step).sum())
-    rounding = (ROUNDING * abs(log_z) + d_err) * float(np.abs(t).sum())
-    return terms, _chain_rounding(terms) + rounding
+    d_err = _PSI_ERR * psi_scale + ROUNDING * np.abs(step).sum(-1)
+    return terms, _chain_rounding(terms) + (ROUNDING * abs(log_z) + d_err) * abs_sum
+
+
+def _lane_sums(spec: SeriesSpec, shifted: bool) -> tuple:
+    """pfq of spec at |z| <= 0.999 by the numpy recurrence, and with shifted
+    also pfq_shift_derivative, as lane results (scalar ones for a scalar spec).
+
+    The count starts where |z|^n < e^-40 (within _FIRST_COUNT.._START_MAX) and doubles
+    until, in every lane, the last term ratio is below rho = (1 + |z|)/2 and
+    the geometric majorant of the rest of sum |t_n| is below eps times it; a
+    lane that terminates stops at its last term instead, once the count
+    reaches it.  The plain sum's error is that majorant plus the rounding of
+    the ratio chain; the shifted sum's is the majorant times a bound on
+    |log z + d_n| beyond it, plus the rounding of _shifted_sum.  A lane's
+    stop depends on its own terms only."""
+    z = spec.argument
+    rho = 0.5 * (1.0 + abs(z))
+    q = rho / (1.0 - rho)
+    m_stop = _termination_orders(spec)  # None when no lane terminates
+    if shifted and m_stop is not None:
+        raise DomainError("pfq_shift_derivative: the series terminates")
+    count = _FIRST_COUNT if z == 0 else math.ceil(-40.0 / math.log(abs(z)))
+    count = min(_START_MAX, max(_FIRST_COUNT, count))
+    terms, end = None, m_stop  # a lane is done once its end <= count
+    # A lane that terminates before a pole of its lower parameters divides by
+    # zero past the pole; it stops before those terms.
+    with np.errstate(divide="ignore", invalid="ignore") if m_stop is not None else contextlib.nullcontext():
+        while True:
+            terms = _shift_terms(spec, count, terms, shifted)
+            t, ratio = terms[0], terms[2]
+            mag = np.abs(t)
+            abs_sum = mag.sum(1)
+            ok = (np.abs(ratio[:, -1]) <= rho) & (mag[:, -1] * q <= _EPS * abs_sum)
+            if end is None and ok.all():
+                break
+            end = np.where(ok, count, np.inf) if end is None else np.minimum(end, np.where(ok, count, np.inf))
+            if (end <= count).all():
+                break
+            count *= 2
+            if count > _MAX_COUNT:
+                raise ConvergenceError(f"pFq: no convergence within {_MAX_COUNT:,} terms")
+    t, d, _, step, psi_scale = terms
+    if shifted:
+        log_z = spec.log_argument if spec.log_argument is not None else cmath.log(z)
+
+    def sums(rows, n: int) -> list:
+        """Plain (and shifted) values and errors of the lanes rows, ended at n."""
+        if rows is None:
+            rows, tn, mn, mn_sum = slice(None), t, mag, abs_sum
+        else:
+            tn, mn = t[rows, : n + 1], mag[rows, : n + 1]
+            mn_sum = mn.sum(1)
+        tail = mn[:, -1] * q
+        if m_stop is not None:  # past a terminating lane's last term the rest is zero
+            tail = np.where(m_stop[rows] == n, 0.0, tail)
+        out = [_sum(tn), tail + ROUNDING * (mn * np.arange(1.0, n + 2.0)).sum(1)]
+        if shifted:
+            dn = d[rows, : n + 1]
+            terms_n, rounding = _shifted_sum(tn, dn, log_z, step[rows, :n], psi_scale[rows], mn_sum)
+            # |d_m - d_n| <= sum_{i >= n} |d_(i+1) - d_i|, about n |d_n - d_(n-1)|
+            # for steps that fall like 1/i^2.
+            reach = np.abs(log_z + dn[:, -1]) + n * np.abs(step[rows, n - 1])
+            out += [terms_n.sum(1), tail * reach + rounding]
+        return out
+
+    if end is None:
+        out = sums(None, count)
+    else:
+        out = [np.empty(len(end), dtype=(complex, float)[i % 2]) for i in range(4 if shifted else 2)]
+        for n in np.unique(end):
+            rows = end == n
+            for whole, part in zip(out, sums(rows, int(n))):
+                whole[rows] = part
+    if not spec.lanes:
+        out = [x[0].item() for x in out]
+    plain = EvalResult(out[0], out[1], Method.CLOSED_FORM)
+    return plain, EvalResult(out[2], out[3], Method.CLOSED_FORM) if shifted else None
 
 
 def _scaled_terms(spec: SeriesSpec, nodes, log_z: complex | None = None) -> np.ndarray:
@@ -320,8 +519,11 @@ def _sum_near_unit(spec: SeriesSpec, shifted: bool = False) -> EvalResult:
     n_cut = max(_N_CUT, math.ceil(32.0 * max(map(abs, spec.upper + spec.lower))))
     if (n_cut + 1) * abs(log_z) > 2.0:
         n_cut = max(n_cut, math.ceil(36.0 / abs(log_z)))
-    t, d, _, step, psis = _shift_terms(spec, n_cut)
-    terms, rounding = _shifted_sum(t, d, log_z, step, psis) if shifted else (t, _chain_rounding(t))
+    t, d, _, step, psi_scale = (x if x is None else x[0] for x in _shift_terms(spec, n_cut, shifted=shifted))
+    if shifted:
+        terms, rounding = _shifted_sum(t, d, log_z, step, psi_scale, np.abs(t).sum())
+    else:
+        terms, rounding = t, _chain_rounding(t)
     nodes = [n_cut * 2**m for m in range(_FIT_TERMS + 1)]
     rhs = _scaled_terms(spec, nodes, log_z if shifted else None)
     vand = np.array([[(1.0 / n) ** j for j in range(_FIT_TERMS)] for n in nodes])
@@ -331,7 +533,7 @@ def _sum_near_unit(spec: SeriesSpec, shifted: bool = False) -> EvalResult:
     )
     tail = complex(coef @ sums)
     fit = abs(tail - complex(coef_alt @ sums)) + float(np.abs(coef) @ sums_err)
-    err = fit + rounding + ROUNDING * abs(tail)
+    err = float(fit + rounding + ROUNDING * abs(tail))
     return EvalResult(complex(terms.sum()) + tail, err, Method.CLOSED_FORM)
 
 
@@ -340,11 +542,18 @@ def pfq(spec: SeriesSpec) -> EvalResult:
 
     Supported: terminating series (any z), |z| < 1, and |z| = 1 with
     Re(sum(b) - sum(a)) > 0.  Raises DomainError otherwise.
+
+    A lane spec gives a lane result: at |z| <= 0.999 by _lane_sums, nearer
+    |z| = 1 lane by lane on the scalar path.
     """
+    if spec.lanes:
+        if abs(spec.argument) > 1.0 - 1e-3:
+            return stack(pfq(spec.lane(i)) for i in range(spec.lanes))
+        return _lane_sums(spec, shifted=False)[0]
     m_stop = _termination_order(spec)
     if m_stop is not None:
         terms = np.fromiter(itertools.islice(_terms(spec), m_stop + 1), complex, m_stop + 1)
-        return EvalResult(complex(terms.sum()), _chain_rounding(terms), Method.CLOSED_FORM)
+        return EvalResult(complex(terms.sum()), float(_chain_rounding(terms)), Method.CLOSED_FORM)
     az = abs(spec.argument)
     if az > 1.0 + 1e-14:
         raise DomainError(f"pFq series diverges for |z| = {az} > 1")
@@ -379,35 +588,42 @@ def pfq(spec: SeriesSpec) -> EvalResult:
     raise ConvergenceError("pFq: series did not converge within the term budget")
 
 
-def pfq_shift_derivative(spec: SeriesSpec) -> EvalResult:
+def pfq_stacked(specs) -> list:
+    """pfq of each spec.  Lane specs of one order and argument are summed as
+    the lanes of one call, since a lane does not depend on the others."""
+    if not specs[0].lanes:
+        return [pfq(spec) for spec in specs]
+    first = specs[0]
+    res = pfq(SeriesSpec(
+        tuple(map(np.concatenate, zip(*(spec.upper for spec in specs)))),
+        tuple(map(np.concatenate, zip(*(spec.lower for spec in specs)))),
+        first.argument, first.log_argument,
+    ))
+    out, start = [], 0
+    for spec in specs:
+        lanes = slice(start, start + spec.lanes)
+        out.append(EvalResult(res.value[lanes], res.abs_err[lanes], res.method))
+        start = lanes.stop
+    return out
+
+
+def pfq_shift_derivative(spec: SeriesSpec) -> tuple:
     """sum_n t_n (log z + d_n), d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n),
     for a non-terminating series with |z| <= 1: the derivative in e at 0 of
     z^e sum_n z^n prod Gamma(a + e + n) / (prod Gamma(b + e + n) Gamma(1 + e + n))
     over prod Gamma(a) / prod Gamma(b), the residues of a double Mellin-Barnes
-    pole (meijer).  At |z| <= 0.999 the terms are summed in numpy to a count
-    that doubles until the last term ratio is below rho = (1 + |z|)/2 and the
-    geometric majorant of the rest of sum |t_n| is below eps times it; the
-    error is that tail times a bound on |log z + d_n| beyond it, plus the
-    rounding of the terms and their sum (_shifted_sum).  Nearer 1:
-    _sum_near_unit."""
+    pole (meijer).  Returns that sum and pfq(spec) = sum_n t_n, both from the
+    same terms: at |z| <= 0.999 _lane_sums, nearer 1 _sum_near_unit (lane by
+    lane for a lane spec)."""
+    if abs(spec.argument) <= 1.0 - 1e-3:
+        plain, shifted = _lane_sums(spec, shifted=True)
+        return shifted, plain
+    if spec.lanes:
+        pairs = [pfq_shift_derivative(spec.lane(i)) for i in range(spec.lanes)]
+        return tuple(stack(results) for results in zip(*pairs))
     if _termination_order(spec) is not None:
         raise DomainError("pfq_shift_derivative: the series terminates")
-    log_z = spec.log_argument if spec.log_argument is not None else cmath.log(spec.argument)
-    if abs(spec.argument) > 1.0 - 1e-3:
-        return _sum_near_unit(spec, shifted=True)
-    rho = 0.5 * (1.0 + abs(spec.argument))
-    for count in [2**j for j in range(5, 18)]:
-        t, d, ratio, step, psis = _shift_terms(spec, count)
-        tail = abs(t[-1]) * rho / (1.0 - rho)
-        if abs(ratio) <= rho and tail <= _EPS * float(np.abs(t).sum()):
-            break
-    else:
-        raise ConvergenceError("pfq_shift_derivative: no convergence within 131,072 terms")
-    terms, rounding = _shifted_sum(t, d, log_z, step, psis)
-    # |d_n - d_N| <= sum_{i >= N} |d_(i+1) - d_i|, about N |d_N - d_(N-1)| for
-    # steps that fall like 1/i^2.
-    reach = abs(log_z + d[-1]) + count * abs(step[-1])
-    return EvalResult(complex(terms.sum()), tail * reach + rounding, Method.CLOSED_FORM)
+    return _sum_near_unit(spec, shifted=True), _sum_near_unit(spec)
 
 
 def family_spec(r: int, s: complex, w: complex, log_w: complex | None = None) -> SeriesSpec:

@@ -30,6 +30,10 @@ majorant, fit gap, rounding) plus gamma_ratio's per-factor error of each
 prefactor.  A right pole on a left pole (b_j - a_i + 1 a non-positive
 integer) pinches C: ContourError.  meijer_mb keeps its name for the
 Mellin-Barnes integral it sums; the perfbench tracer hooks it by that name.
+
+A block whose parameters are arrays over lanes (w3_g_spec at an array of s)
+is summed as one lane series, provided every lane has the same pole
+structure; each lane equals its one-lane call bit for bit.
 """
 
 from __future__ import annotations
@@ -42,17 +46,18 @@ import numpy as np
 from scipy.special import ellipkm1
 
 from .errors import ContourError, ConvergenceError, DomainError
-from .gamma import _POLE_TOL, log_gamma, nearest_int
+from .gamma import _POLE_TOL, log_gamma, pole_order
 from .hyper import SeriesSpec, gamma_ratio, pfq, pfq_shift_derivative
 from .quadutil import ts_rows
-from .types import ROUNDING, EvalResult, Method
+from .types import ROUNDING, EvalResult, Method, lane_params
 
 _ALLOWED_ORDERS = {(2, 4, 4, 4), (2, 3, 3, 3)}
 
 
 @dataclass(frozen=True)
 class MeijerSpec:
-    """Parameter block (a; b; orders; argument) of one G-function instance."""
+    """Parameter block (a; b; orders; argument) of one G-function instance;
+    the parameters may be 1-d arrays over lanes."""
 
     a_params: tuple = field()
     b_params: tuple = field()
@@ -67,8 +72,9 @@ class MeijerSpec:
             raise DomainError("parameter row lengths must match (p, q)")
         if not 0.0 < self.argument < 1.0:
             raise DomainError("argument must lie in (0, 1)")
-        object.__setattr__(self, "a_params", tuple(complex(a) for a in self.a_params))
-        object.__setattr__(self, "b_params", tuple(complex(b) for b in self.b_params))
+        params = lane_params(self.a_params + self.b_params)
+        object.__setattr__(self, "a_params", params[:p])
+        object.__setattr__(self, "b_params", params[p:])
 
 
 def w3_g_spec(s: complex, k: float) -> MeijerSpec:
@@ -96,33 +102,45 @@ def _residues(spec: MeijerSpec, t: complex, log_z: float, lower: complex, *extra
     return pref, rel, SeriesSpec(up, low + (lower,), spec.argument, log_z)
 
 
-def meijer_mb(spec: MeijerSpec) -> EvalResult:
+def meijer_mb(spec: MeijerSpec, series: bool = False):
     """Evaluate the G-function as minus the sum of its right-pole residues
-    (see the module docstring)."""
+    (see the module docstring).  With series, return also the pFq
+    sum_l c_l of the double-pole residue series, whose terms that series
+    shares (w3 reads its 4F3 term from it)."""
     m, n, _, _ = spec.orders
     b_right, a_left = spec.b_params[:m], spec.a_params[:n]
-    pinches = [nearest_int(b - a + 1.0, _POLE_TOL) for b in b_right for a in a_left]
-    if any(p is not None and p <= 0 for p in pinches):
+    pinch = np.array(b_right)[:, None] - np.array(a_left) + 1.0
+    if np.isfinite(pole_order(pinch, _POLE_TOL)).any():
         raise ContourError("pole families coalesce: a right pole sits on a left one")
     log_z = math.log(spec.argument)
     b1, b2 = b_right
-    gap = b1 - b2
+    gaps = np.ravel(b1 - b2)
+    whole = (gaps.imag == 0.0) & (gaps.real == np.rint(gaps.real))
     parts = []  # (prefactor, its relative error, EvalResult of its series)
-    if gap.imag != 0.0 or gap.real != round(gap.real):
+    plain = None
+    if not whole.any():
         for bh, bo in ((b1, b2), (b2, b1)):
-            pref, rel, series = _residues(spec, bh, log_z, 1.0 + bh - bo, (1.0, bo - bh))
-            parts.append((pref, rel, pfq(series)))
-    else:
-        g = abs(round(gap.real))
-        lo = min(b1, b2, key=lambda b: b.real)
+            pref, rel, spec_h = _residues(spec, bh, log_z, 1.0 + bh - bo, (1.0, bo - bh))
+            parts.append((pref, rel, pfq(spec_h)))
+    elif (gaps == gaps[0]).all():
+        g = int(abs(gaps[0].real))
+        lo = b2 if gaps[0].real > 0 else b1
         for j in range(g):
             pref, rel, _ = _residues(spec, lo + j, log_z, 1.0, (1.0, g - j), (-1.0, j + 1.0))
             parts.append(((-1.0) ** j * pref, rel, EvalResult(1.0, 0.0, Method.CLOSED_FORM)))
-        pref, rel, series = _residues(spec, lo + g, log_z, g + 1.0, (-1.0, g + 1.0))
-        parts.append((-((-1.0) ** g) * pref, rel, pfq_shift_derivative(series)))
+        pref, rel, spec_d = _residues(spec, lo + g, log_z, g + 1.0, (-1.0, g + 1.0))
+        derivative, plain = pfq_shift_derivative(spec_d)
+        parts.append((-((-1.0) ** g) * pref, rel, derivative))
+    else:
+        raise DomainError("meijer_mb: the lanes differ in their pole structure")
     total = sum(pref * f.value for pref, _, f in parts)
     err = sum(abs(p) * f.abs_err + (rel + ROUNDING) * abs(p * f.value) for p, rel, f in parts)
-    return EvalResult(complex(total), err, Method.CLOSED_FORM)
+    g_value = EvalResult(total if np.ndim(total) else complex(total), err, Method.CLOSED_FORM)
+    if not series:
+        return g_value
+    if plain is None:
+        raise DomainError("meijer_mb: the block has no double poles")
+    return g_value, plain
 
 
 def elliptic_2k(c: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:

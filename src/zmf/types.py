@@ -1,4 +1,9 @@
-"""Shared result and parameter types."""
+"""Shared result and parameter types.
+
+A lane call evaluates one formula at several parameter sets at once: its
+parameters are 1-d arrays over lanes, and its EvalResult holds arrays of
+values and errors, one entry per lane.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +12,20 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 # Rounding error of a floating-point sum or of exp(x), relative to the sum of
 # the magnitudes of its terms (a few units in the last place).
 ROUNDING = 4.0 * 2.0**-52
+_INF = float("inf")
 
 
-def check_finite(k: float, s: complex) -> None:
-    """Raise DomainError unless k and s are finite."""
-    if not (math.isfinite(k) and cmath.isfinite(s)):
+def check_finite(k: float, s) -> None:
+    """Raise DomainError unless k and s (a scalar or an array of lanes) are finite."""
+    finite = np.isfinite(s).all() if isinstance(s, np.ndarray) else cmath.isfinite(s)
+    if not (math.isfinite(k) and finite):
         raise DomainError(f"k and s must be finite, got k={k}, s={s}")
 
 
@@ -43,8 +52,38 @@ class EvalResult:
     method: Method
 
     def __post_init__(self):
-        if not (self.abs_err >= 0.0 and self.abs_err < float("inf")):
-            raise ValueError(f"abs_err must be finite and >= 0, got {self.abs_err}")
+        err = self.abs_err
+        if type(err) is np.ndarray:
+            ok = np.minimum.reduce(err) >= 0.0 and np.maximum.reduce(err) < _INF
+        else:
+            ok = err >= 0.0 and err < _INF
+        if not ok:
+            raise ValueError(f"abs_err must be finite and >= 0, got {err}")
+
+
+def stack(results) -> EvalResult:
+    """Scalar results of one method as the lanes of one result."""
+    results = list(results)
+    return EvalResult(
+        np.array([r.value for r in results], dtype=complex),
+        np.array([r.abs_err for r in results], dtype=float),
+        results[0].method,
+    )
+
+
+def lane_params(values) -> tuple:
+    """Parameters as complex scalars or, when any of them is an array, as
+    complex arrays broadcast to one common axis of lanes."""
+    if not any(type(v) is np.ndarray for v in values):
+        return tuple(complex(v) for v in values)
+    shapes = {v.shape for v in values if isinstance(v, np.ndarray)}
+    if len(shapes) > 1 or len(next(iter(shapes))) != 1:
+        raise DomainError("lane parameters must be 1-d arrays of one length")
+    (shape,) = shapes
+    return tuple(
+        v.astype(complex, copy=False) if isinstance(v, np.ndarray) else np.full(shape, v, dtype=complex)
+        for v in values
+    )
 
 
 @dataclass(frozen=True)

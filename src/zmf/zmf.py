@@ -21,6 +21,12 @@ Meijer-G formula for W_2 at odd n, checks that circle.  The Meijer-G blocks
 of w3 and w2_odd are summed as their right-pole residue series
 (meijer.meijer_mb).
 
+Lanes: w2 and w3 take s as a scalar or as a 1-d array of lanes (kept off
+the circle's windows); one body serves both, and with an array each pFq
+is summed once over all lanes (hyper).  The circle evaluates its 9 upper
+nodes as one such call (at r = 4, h_rs node by node), and the Mahler
+derivative stencil (analysis) its four offsets.
+
 The heavy-regime formulas all analytically continue the same hypergeometric
 family past its z = 1 singularity; the continuation half-plane is fixed once
 by the calibration constant CONTINUATION_BRANCH below (validated against
@@ -33,6 +39,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoleError
 from .gamma import _POLE_TOL, cpow, nearest_int
 from .hyper import (
@@ -42,9 +50,10 @@ from .hyper import (
     gamma_ratio,
     pfq,
     pfq_continued,
+    pfq_stacked,
 )
 from .meijer import meijer_mb, w2_g_spec, w3_g_spec
-from .types import ROUNDING, EvalResult, Method, ZmfPoint, check_finite
+from .types import ROUNDING, EvalResult, Method, ZmfPoint, check_finite, stack
 
 # Frozen calibration: continuing the family series to w = 4^r/k^2 > 1 through
 # the lower half w-plane reproduces the torus integral (the boundary value
@@ -58,6 +67,11 @@ CONTINUATION_BRANCH = ContinuationBranch.FROM_BELOW
 # keeps every node outside that window.
 _ODD_RADIUS = 0.25
 _ODD_NODES = 16
+# The nodes z_j - n, j = 0..N-1: the upper half (j <= N/2, evaluated) and
+# the mirror slice that maps nodes N/2 + 1 .. N - 1 onto their conjugates.
+_ODD_UPPER = _ODD_RADIUS * np.exp(2j * np.pi * np.arange(_ODD_NODES // 2 + 1) / _ODD_NODES)
+_ODD_MIRROR = slice(_ODD_NODES // 2 - 1, 0, -1)
+_ODD_CIRCLE = np.concatenate((_ODD_UPPER, _ODD_UPPER[_ODD_MIRROR].conj()))
 
 
 def _edge_log(r: int, k: float):
@@ -74,8 +88,33 @@ def _odd_center(s: complex):
     return n if n >= 1 and abs(s - n) <= _ODD_RADIUS / 8 else None
 
 
-def _tan_half_pi(s: complex) -> complex:
-    return cmath.tan(0.5 * math.pi * complex(s))
+def _lane_s(k: float, s) -> tuple:
+    """(|k|, s, the math module for s): s a complex scalar (cmath) or a 1-d
+    complex array of lanes (numpy)."""
+    k = abs(float(k))
+    if np.ndim(s) == 0:
+        s, xp = complex(s), cmath
+    else:
+        s, xp = np.asarray(s, dtype=complex), np
+        if s.ndim != 1:
+            raise DomainError("s must be a scalar or a 1-d array of lanes")
+    check_finite(k, s)
+    if (s.real if xp is cmath else s.real.min()) <= -1.0:
+        raise DomainError("requires Re(s) > -1")
+    return k, s, xp
+
+
+def _odd_window(k: float, s, xp):
+    """The odd n whose circle serves a scalar s at k > 0, else None.  The
+    circle is not taken lane by lane: an array of s must keep off it."""
+    if k == 0.0:
+        return None
+    if xp is cmath:
+        return _odd_center(s)
+    n = 2.0 * np.rint((s.real - 1.0) / 2.0) + 1.0
+    if ((n >= 1.0) & (np.abs(s - n) <= _ODD_RADIUS / 8)).any():
+        raise DomainError("a lane of s lies within 1/32 of an odd integer; evaluate it alone")
+    return None
 
 
 def w1(k: float, s: complex) -> EvalResult:
@@ -101,13 +140,19 @@ def w1(k: float, s: complex) -> EvalResult:
             # Double pole of Gamma((1+s)/2)^2 against a single pole of
             # Gamma(1+s): a genuine pole of W_1.
             raise PoleError(f"W_1(k;s) has a pole at s = {n} for |k| < 2")
-        # Even negative integer: only the denominator Gamma(1+s) is singular,
-        # so the prefactor (and W_1) vanishes.
-        return EvalResult(0.0 + 0.0j, 1e-16, Method.CLOSED_FORM)
+        # Next to an even negative integer only Gamma(1+s) is singular: take
+        # 1/Gamma(1+s) = Gamma(-s) sin(pi (1+s)) / pi by reflection, with the
+        # exact offset s - n in the sine, so W_1 is 0 at n itself.
+        pref, rel = gamma_ratio(
+            s * math.log(4.0) - 2.0 * math.log(math.pi), (2.0, (1.0 + s) / 2), (1.0, -s)
+        )
+        pref *= -cmath.sin(math.pi * (s - n))
+        rel += ROUNDING
+    else:
+        pref, rel = gamma_ratio(
+            s * math.log(4.0) - math.log(math.pi), (2.0, (1.0 + s) / 2), (-1.0, 1.0 + s)
+        )
     f = pfq(SeriesSpec((-s / 2, -s / 2), (0.5,), k * k / 4.0, _edge_log(1, k)))
-    pref, rel = gamma_ratio(
-        s * math.log(4.0) - math.log(math.pi), (2.0, (1.0 + s) / 2), (-1.0, 1.0 + s)
-    )
     val = pref * f.value
     return EvalResult(val, abs(pref) * f.abs_err + rel * abs(val), Method.CLOSED_FORM)
 
@@ -161,30 +206,29 @@ def _w_zero(r: int, s: complex) -> EvalResult:
     return EvalResult(val, rel * abs(val), Method.CLOSED_FORM)
 
 
-def w2(k: float, s: complex) -> EvalResult:
-    """W_2(k;s) for |k| < 4, Re(s) > -1; near an odd s, by the circle."""
-    k = abs(float(k))
-    s = complex(s)
-    check_finite(k, s)
+def w2(k: float, s) -> EvalResult:
+    """W_2(k;s) for |k| < 4, Re(s) > -1; near an odd s, by the circle.
+
+    s may also be a 1-d array of lanes off the circle's windows: the same
+    body then sums every pFq once over all lanes and returns a lane result."""
+    k, s, xp = _lane_s(k, s)
     if k >= 4.0:
         raise DomainError("w2 requires |k| < 4")
-    if s.real <= -1.0:
-        raise DomainError("w2 requires Re(s) > -1")
-    n = _odd_center(s)
-    if k > 0.0 and n is not None:
+    n = _odd_window(k, s, xp)
+    if n is not None:
         return _odd_limit(lambda z: w2(k, z), n, s)
     z, log_z = k * k / 16.0, _edge_log(2, k)
-    f2 = pfq(SeriesSpec((-s / 2, -s / 2, -s / 2), ((1 - s) / 2, 0.5), z, log_z))
+    specs = [SeriesSpec((-s / 2,) * 3, ((1 - s) / 2, 0.5), z, log_z)]
+    if k > 0.0:  # the second 3F2 is multiplied by k^(1 + s), 0 at k = 0
+        specs.append(SeriesSpec((0.5, 0.5, 0.5), (1 + s / 2, 1.5 + s / 2), z, log_z))
+    f2, *f1 = pfq_stacked(specs)
     pref2, rel2 = gamma_ratio(0.0, (2.0, s + 1.0), (-4.0, s / 2 + 1.0))
     total = pref2 * f2.value
     err = abs(pref2) * f2.abs_err + rel2 * abs(total)
-    if k > 0.0:
-        f1 = pfq(SeriesSpec((0.5, 0.5, 0.5), (1 + s / 2, 1.5 + s / 2), z, log_z))
-        pref1 = (
-            _tan_half_pi(s) / (2.0 * math.pi * (s + 1.0)) * cpow(k, 1.0 + s)
-        )
-        total += pref1 * f1.value
-        err += abs(pref1) * f1.abs_err
+    if f1:
+        pref1 = xp.tan(0.5 * math.pi * s) / (2.0 * math.pi * (s + 1.0)) * xp.exp((1.0 + s) * math.log(k))
+        total = total + pref1 * f1[0].value
+        err = err + abs(pref1) * f1[0].abs_err
     return EvalResult(total, err + 1e-14 * (1.0 + abs(total)), Method.CLOSED_FORM)
 
 
@@ -196,22 +240,19 @@ def _odd_limit(fn, n: int, s: complex) -> EvalResult:
         fn(s) ~ (1/N) sum_j fn(z_j) (z_j - n) / (z_j - s).
 
     fn is W_r at a real k, so fn(conj z) = conj fn(z) and only the upper half
-    circle is evaluated.  Halving N squares the relative error, so the error
-    estimate is the squared relative gap to the N/2-node sum, times the
-    value, plus the nodes' abs_err through the weights and a rounding floor.
+    circle is evaluated, as one call of fn on the array of its nodes (a lane
+    result).  Halving N squares the relative error, so the error estimate is
+    the squared relative gap to the N/2-node sum, times the value, plus the
+    nodes' abs_err through the weights and a rounding floor.
     """
-    half = _ODD_NODES // 2
-    upper = [_ODD_RADIUS * cmath.exp(1j * math.pi * j / half) for j in range(half + 1)]
-    res = [fn(n + u) for u in upper]
-    low = slice(half - 1, 0, -1)  # nodes half + 1 .. N - 1 mirror these
-    nodes = upper + [u.conjugate() for u in upper[low]]
-    vals = [r.value for r in res] + [r.value.conjugate() for r in res[low]]
-    errs = [r.abs_err for r in res + res[low]]
-    weights = [u / (u - (s - n)) for u in nodes]
-    terms = [v * wt for v, wt in zip(vals, weights)]
-    fine = sum(terms) / _ODD_NODES
-    gap = abs(fine - sum(terms[::2]) / half)
-    noise = sum(e * abs(wt) + ROUNDING * abs(t) for e, wt, t in zip(errs, weights, terms))
+    res = fn(n + _ODD_UPPER)
+    vals = np.concatenate((res.value, res.value[_ODD_MIRROR].conj()))
+    errs = np.concatenate((res.abs_err, res.abs_err[_ODD_MIRROR]))
+    weights = _ODD_CIRCLE / (_ODD_CIRCLE - (s - n))
+    terms = vals * weights
+    fine = complex(terms.sum()) / _ODD_NODES
+    gap = abs(fine - complex(terms[::2].sum()) / (_ODD_NODES // 2))
+    noise = float((errs * np.abs(weights) + ROUNDING * np.abs(terms)).sum())
     return EvalResult(fine, gap * gap / abs(fine) + noise / _ODD_NODES, Method.CONTOUR)
 
 
@@ -237,38 +278,36 @@ def w2_odd(k: float, n: int) -> EvalResult:
     return EvalResult(complex(alt.real), abs(pref) * g.abs_err, Method.CLOSED_FORM)
 
 
-def w3(k: float, s: complex) -> EvalResult:
-    """W_3(k;s) for |k| < 8, Re(s) > -1; near an odd s, by the circle.
+def w3(k: float, s) -> EvalResult:
+    """W_3(k;s) for |k| < 8, Re(s) > -1; near an odd s, by the circle.  s may
+    also be a 1-d array of lanes, as in w2.
 
-    The Meijer-G term is summed as its double-pole residue series;
-    meijer_triple_integral is the independent check of that route.
+    The Meijer-G term is summed as its double-pole residue series, whose
+    terms are those of the 4F3 (1/2, 1/2, 1/2, 1/2; 1, 1 + s/2, (3 + s)/2; z)
+    of the second term, so that 4F3 is read from the same sum;
+    meijer_triple_integral is the independent check of the block.
     """
-    k = abs(float(k))
-    s = complex(s)
-    check_finite(k, s)
+    k, s, xp = _lane_s(k, s)
     if k >= 8.0:
         raise DomainError("w3 requires |k| < 8")
-    if s.real <= -1.0:
-        raise DomainError("w3 requires Re(s) > -1")
-    n = _odd_center(s)
-    if k > 0.0 and n is not None:
+    n = _odd_window(k, s, xp)
+    if n is not None:
         return _odd_limit(lambda z: w3(k, z), n, s)
-    z, log_z = k * k / 64.0, _edge_log(3, k)
-    f1 = pfq(SeriesSpec((-s / 2,) * 4, ((1 - s) / 2, (1 - s) / 2, 0.5), z, log_z))
-    pref1, rel1 = gamma_ratio(0.0, (3.0, 1.0 + s), (-6.0, 1.0 + s / 2))
+    z, log_z, s1 = k * k / 64.0, _edge_log(3, k), 1.0 + s
+    f1 = pfq(SeriesSpec((-s / 2,) * 4, ((1 - s) / 2,) * 2 + (0.5,), z, log_z))
+    pref1, rel1 = gamma_ratio(0.0, (3.0, s1), (-6.0, 1.0 + s / 2))
     total = pref1 * f1.value
     err = abs(pref1) * f1.abs_err + rel1 * abs(total)
     if k > 0.0:
-        t = _tan_half_pi(s)
-        f2 = pfq(SeriesSpec((0.5,) * 4, (1.0, 1 + s / 2, (3 + s) / 2), z, log_z))
-        pref2 = -t * t / (4.0 * math.pi * (s + 1.0)) * cpow(k, 1.0 + s)
-        total += pref2 * f2.value
-        err += abs(pref2) * f2.abs_err
-        g = meijer_mb(w3_g_spec(s, k))
-        pref3, rel3 = gamma_ratio(s * math.log(4.0), (1.0, 1.0 + s))
-        pref3 *= t / math.pi**3.5
-        total += pref3 * g.value
-        err += abs(pref3) * g.abs_err + rel3 * abs(pref3 * g.value)
+        t = xp.tan(0.5 * math.pi * s)
+        g, f2 = meijer_mb(w3_g_spec(s, k), series=True)
+        pref2 = -t * t / (4.0 * math.pi * s1) * xp.exp(s1 * math.log(k))
+        total = total + pref2 * f2.value
+        err = err + abs(pref2) * f2.abs_err
+        pref3, rel3 = gamma_ratio(s * math.log(4.0), (1.0, s1))
+        pref3 = pref3 * t / math.pi**3.5
+        total = total + pref3 * g.value
+        err = err + abs(pref3) * g.abs_err + rel3 * abs(pref3 * g.value)
     return EvalResult(total, err + 1e-13 * (1.0 + abs(total)), Method.CLOSED_FORM)
 
 
@@ -423,7 +462,7 @@ def w(r: int, k: float, s: complex, method: str | None = None) -> EvalResult:
     if r == 4:
         n = _odd_center(s)
         if n is not None:
-            return _odd_limit(lambda z: h_rs(4, k, z), n, s)
+            return _odd_limit(lambda z: stack(h_rs(4, k, x) for x in z), n, s)
         if s.imag == 0.0:
             return w_real_s(4, k, s.real)
         return h_rs(4, k, s)

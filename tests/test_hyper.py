@@ -2,10 +2,11 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.special import hyp2f1
 
-from zmf.errors import DomainError
+from zmf.errors import DomainError, PoleError
 from zmf.hyper import (
     ContinuationBranch,
     SeriesSpec,
@@ -119,8 +120,11 @@ def test_shift_derivative_error_bar_sweep():
     for _ in range(24):
         upper, lower = tuple(param(0.2) for _ in range(3)), tuple(param(0.3) for _ in range(2))
         spec = SeriesSpec(upper, lower, rng.uniform(0.3, 0.98))
-        res = pfq_shift_derivative(spec)
+        res, plain = pfq_shift_derivative(spec)
         assert abs(res.value - _mp_shift_derivative(spec)) <= res.abs_err
+        with mpmath.workdps(30):
+            want = complex(mpmath.hyper(spec.upper, spec.lower, spec.argument))
+        assert abs(plain.value - want) <= plain.abs_err
 
 
 def test_theta_derivative_initial_conditions():
@@ -151,7 +155,7 @@ def test_theta_derivative_initial_conditions():
 def test_shift_terms_match_scalar_terms_and_digamma(spec):
     # The numpy products and sums against the scalar recurrence and against
     # d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n) at each n.
-    t, d, *_ = _shift_terms(spec, 200)
+    t, d = (x[0] for x in _shift_terms(spec, 200)[:2])
     scalar = _terms(spec)
     want_t = [next(scalar) for _ in range(201)]
     assert max(abs(x - y) / abs(y) for x, y in zip(t, want_t)) <= 200 * 2.0**-52
@@ -249,3 +253,52 @@ def test_near_unit_large_parameters(upper, lower, z):
     # The Stirling fit nodes need n >> |p|, so the direct sum runs to 32 |p|.
     res = pfq(SeriesSpec(upper, lower, z))
     assert abs(res.value - mp_ref(upper, lower, z)) <= res.abs_err
+
+
+def _seeded_lanes(seed, lanes=7):
+    """3F2 parameters over lanes, each lane real or complex half of the time,
+    and one argument z in (0.1, 0.98)."""
+    rng = np.random.default_rng(seed)
+
+    def param(lo):
+        x = rng.uniform(lo, 2.5, lanes)
+        return x + 1j * np.where(rng.random(lanes) < 0.5, rng.uniform(-1.5, 1.5, lanes), 0.0)
+
+    return [param(0.2) for _ in range(3)], [param(0.3) for _ in range(2)], rng.uniform(0.1, 0.98)
+
+
+def _one_lane(upper, lower, z, i):
+    return SeriesSpec(tuple(p[i : i + 1] for p in upper), tuple(p[i : i + 1] for p in lower), z)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lanes_equal_one_lane_calls(seed):
+    # Each lane stops at its own count and the products and sums over the
+    # parameters run lane by lane, so a lane's value and error are the bits
+    # of its one-lane call.  Lane 1 terminates: its first upper parameter is
+    # exactly -3.
+    upper, lower, z = _seeded_lanes(seed)
+    shifted, plain = pfq_shift_derivative(SeriesSpec(tuple(upper), tuple(lower), z))
+    for i in range(len(upper[0])):
+        one_shifted, one_plain = pfq_shift_derivative(_one_lane(upper, lower, z, i))
+        assert (one_shifted.value[0], one_shifted.abs_err[0]) == (shifted.value[i], shifted.abs_err[i])
+        assert (one_plain.value[0], one_plain.abs_err[0]) == (plain.value[i], plain.abs_err[i])
+    upper[0][1] = -3.0
+    res = pfq(SeriesSpec(tuple(upper), tuple(lower), z))
+    for i in range(len(upper[0])):
+        one = pfq(_one_lane(upper, lower, z, i))
+        assert (one.value[0], one.abs_err[0]) == (res.value[i], res.abs_err[i])
+        scalar = pfq(SeriesSpec(tuple(complex(p[i]) for p in upper), tuple(complex(p[i]) for p in lower), z))
+        assert abs(scalar.value - res.value[i]) <= scalar.abs_err + res.abs_err[i]
+
+
+def test_lane_next_to_a_pole_raises():
+    # A lower parameter within 1e-9 of -2 in one lane: that lane's one-lane
+    # call raises PoleError, and so does the call over all lanes.
+    upper, lower, z = _seeded_lanes(4)
+    lower[1][2] = -2.0 + 1e-12
+    with pytest.raises(PoleError):
+        pfq(SeriesSpec(tuple(upper), tuple(lower), z))
+    with pytest.raises(PoleError):
+        pfq(_one_lane(upper, lower, z, 2))
+    pfq(_one_lane(upper, lower, z, 3))

@@ -2,12 +2,14 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zmf.zmf as zmf_module
 from zmf.errors import DomainError, PoleError, ZmfError
+from zmf.hyper import SeriesSpec, pfq
 from zmf.meijer import meijer_mb, meijer_triple_integral, w3_g_spec
 from zmf.oracle import torus_quadrature
 from zmf.types import Method, QuadratureConfig, Regime, ZmfPoint
@@ -89,6 +91,14 @@ class TestW1:
         with pytest.raises(PoleError):
             w1(1.0, -3.0)
         assert w1(1.0, -2.0).value == 0.0
+
+    @pytest.mark.parametrize("s", [-2.0 + 5e-13, -4.0 + 5e-13])
+    def test_no_snap_to_the_trivial_zero(self, s):
+        # Within 1e-12 of an even negative integer w1 returned 0 with abs_err
+        # 1e-16: 2,170x its bar off at s = -2 + 5e-13 (W_1 = -2.17e-13).
+        res = w1(1.0, s)
+        assert abs(res.value - _mp_w1(1.0, s)) <= res.abs_err
+        assert abs(res.value) > 1e-14
 
     def test_schwarz_reflection(self):
         for k in (1.0, 3.0):
@@ -172,9 +182,11 @@ class TestHeavyClosedForms:
 
     def test_w3_both_g_methods(self, monkeypatch):
         a = w3(1.0, 0.5).value
-        # the same formula with the Meijer-G term from its triple integral
+        # the same formula with the Meijer-G term from its triple integral and
+        # its 4F3 term from pfq, not from the G block's residue series
+        f2 = pfq(SeriesSpec((0.5,) * 4, (1.0, 1.25, 1.75), 1.0 / 64.0))
         monkeypatch.setattr(
-            zmf_module, "meijer_mb", lambda spec: meijer_triple_integral(0.5, 1.0)
+            zmf_module, "meijer_mb", lambda spec, series: (meijer_triple_integral(0.5, 1.0), f2)
         )
         b = w3(1.0, 0.5).value
         assert a == pytest.approx(b, rel=1e-7)
@@ -506,3 +518,37 @@ class TestNearBoundary:
         # The continuation ODE cannot start at its singular point z = 1.
         with pytest.raises(ZmfError):
             w(4, 16.0 - 1e-13, 1.5)
+
+
+class TestLanes:
+    """w2 and w3 over an array of s: one body sums each pFq once over all
+    lanes, and a lane equals its one-lane call bit for bit."""
+
+    @pytest.mark.parametrize(
+        "fn, k",
+        [(w2, 0.0), (w2, 1.3), (w2, 3.7), (w2, 3.9995), (w3, 0.0), (w3, 2.6), (w3, 7.7), (w3, 7.9995)],
+    )
+    def test_lanes_equal_one_lane_calls(self, fn, k):
+        # s = 2 ends the first pFq (upper parameter -1); the k next to 2^r take
+        # the near-unit sums lane by lane.
+        s = np.array([0.4, 2.0, 1.6 + 0.7j, -0.55, 0.3 - 1.2j, 3.3])
+        res = fn(k, s)
+        for i, x in enumerate(s):
+            one = fn(k, s[i : i + 1])
+            assert (one.value[0], one.abs_err[0]) == (res.value[i], res.abs_err[i])
+            scalar = fn(k, complex(x))
+            assert abs(scalar.value - res.value[i]) <= scalar.abs_err + res.abs_err[i]
+
+    def test_lane_in_an_odd_window_rejected(self):
+        with pytest.raises(DomainError, match="odd"):
+            w2(1.0, np.array([0.5, 1.01]))
+
+    @pytest.mark.parametrize("r, name", [(2, "w2"), (3, "w3")])
+    def test_odd_limit_makes_one_lane_call(self, monkeypatch, r, name):
+        # The circle evaluated its 9 nodes in 9 scalar calls.
+        shapes = []
+        body = getattr(zmf_module, name)
+        monkeypatch.setattr(zmf_module, name, lambda k, s: shapes.append(np.shape(s)) or body(k, s))
+        res = w(r, 1.3, 1.0)
+        assert res.method is Method.CONTOUR
+        assert shapes == [(), (9,)]
