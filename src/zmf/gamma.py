@@ -18,24 +18,27 @@ from .errors import PoleError
 _POLE_TOL = 1e-12
 
 
-def nearest_int(z: complex, tol: float):
-    """The integer n with |Re z - n| <= tol and |Im z| <= tol, else None."""
+def pole_order(z: complex, tol: float):
+    """m >= 0 when z lies within tol of the non-positive integer -m (a pole
+    of Gamma), else None."""
     z = complex(z)
     if abs(z.imag) > tol:
         return None
     n = round(z.real)
-    return n if abs(z.real - n) <= tol else None
+    return -n if n <= 0 and abs(z.real - n) <= tol else None
 
 
-def pole_order(z, tol: float) -> np.ndarray:
-    """Elementwise m >= 0 where z lies within tol of the non-positive integer
-    -m (a pole of Gamma), else inf."""
-    z = np.asarray(z, dtype=complex)
-    if z.real.min() > tol:
-        return np.full(z.shape, np.inf)
-    n = np.rint(z.real)
-    near = (z == n) if tol == 0.0 else np.maximum(np.abs(z.real - n), np.abs(z.imag)) <= tol
-    return np.where(near & (n <= 0), -n, np.inf)
+def any_pole(values, tol: float) -> bool:
+    """Whether a value, a scalar or an array of lanes, lies within tol of a
+    pole of Gamma; an array's entries are tested one by one only when one
+    lies at or left of Re z = tol."""
+    for v in values:
+        if type(v) is not np.ndarray:
+            if pole_order(v, tol) is not None:
+                return True
+        elif v.real.min() <= tol and any(pole_order(x, tol) is not None for x in v.flat):
+            return True
+    return False
 
 
 def log_gamma(z):
@@ -44,12 +47,11 @@ def log_gamma(z):
     Raises PoleError within 1e-12 of the non-positive integers.
     """
     if isinstance(z, np.ndarray):
-        if z.real.min() <= _POLE_TOL and np.isfinite(pole_order(z, _POLE_TOL)).any():
+        if any_pole((z,), _POLE_TOL):
             raise PoleError(f"log_gamma: a lane is within {_POLE_TOL} of a pole")
         return loggamma(z.astype(complex, copy=False))
     z = complex(z)
-    n = nearest_int(z, _POLE_TOL)
-    if n is not None and n <= 0:
+    if pole_order(z, _POLE_TOL) is not None:
         raise PoleError(f"log_gamma: z={z} is within {_POLE_TOL} of a pole")
     return complex(loggamma(z))
 

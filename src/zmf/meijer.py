@@ -23,9 +23,12 @@ W_3's block has b_1 = b_2, g = 0; W_2's at odd n has g = (1 + n)/2.
 
 Next to z = 1 both series sum their tails by hyper's near-unit fit.  In the
 W_2 and W_3 blocks log z enters as log z times a bounded series and through
-tail cusps |log z|^(1 + alpha), alpha > 1/2, so the log of the rounded z
-serves (log z from the exact distance k - 2^r changed no value by 1e-36
-relative at k = 7.9999 to 8 - 1e-13).  The error is the series' own (tail
+tail cusps |log z|^(1 + alpha), alpha > 1/2, where the log of the rounded z
+would serve (log z from the exact distance k - 2^r changed no G value by
+1e-36 relative at k = 7.9999 to 8 - 1e-13).  The plain sum of W_3's
+double-pole series, its 4F3 term, has the cusp exponent s + 3/2, down to
+1/2, so w3_g_spec and w2_g_spec take log z from the exact distance
+(types.edge_log).  The error is the series' own (tail
 majorant, fit gap, rounding) plus gamma_ratio's per-factor error of each
 prefactor.  A right pole on a left pole (b_j - a_i + 1 a non-positive
 integer) pinches C: ContourError.  meijer_mb keeps its name for the
@@ -46,10 +49,10 @@ import numpy as np
 from scipy.special import ellipkm1
 
 from .errors import ContourError, ConvergenceError, DomainError
-from .gamma import _POLE_TOL, log_gamma, pole_order
+from .gamma import _POLE_TOL, any_pole, log_gamma
 from .hyper import SeriesSpec, gamma_ratio, pfq, pfq_shift_derivative
 from .quadutil import ts_rows
-from .types import ROUNDING, EvalResult, Method, lane_params
+from .types import ROUNDING, EvalResult, Method, edge_log, lane_params
 
 _ALLOWED_ORDERS = {(2, 4, 4, 4), (2, 3, 3, 3)}
 
@@ -63,6 +66,8 @@ class MeijerSpec:
     b_params: tuple = field()
     orders: tuple = field()
     argument: float = field()
+    # log of the argument from an exact distance to 1, as in SeriesSpec
+    log_argument: float | None = None
 
     def __post_init__(self):
         m, n, p, q = self.orders
@@ -81,14 +86,14 @@ def w3_g_spec(s: complex, k: float) -> MeijerSpec:
     """The G^{2,4}_{4,4} block appearing in the W_3 closed form."""
     a = ((2 + s) / 2,) * 4
     b = ((1 + s) / 2, (1 + s) / 2, 0.0, 0.5)
-    return MeijerSpec(a, b, (2, 4, 4, 4), k * k / 64.0)
+    return MeijerSpec(a, b, (2, 4, 4, 4), k * k / 64.0, edge_log(3, k))
 
 
 def w2_g_spec(s: complex, k: float) -> MeijerSpec:
     """The G^{2,3}_{3,3} block appearing in the odd-integer W_2 formula."""
     a = (1 + s / 2,) * 3
     b = (0.0, (1 + s) / 2, 0.5)
-    return MeijerSpec(a, b, (2, 3, 3, 3), k * k / 16.0)
+    return MeijerSpec(a, b, (2, 3, 3, 3), k * k / 16.0, edge_log(2, k))
 
 
 def _residues(spec: MeijerSpec, t: complex, log_z: float, lower: complex, *extra) -> tuple:
@@ -109,33 +114,34 @@ def meijer_mb(spec: MeijerSpec, series: bool = False):
     shares (w3 reads its 4F3 term from it)."""
     m, n, _, _ = spec.orders
     b_right, a_left = spec.b_params[:m], spec.a_params[:n]
-    pinch = np.array(b_right)[:, None] - np.array(a_left) + 1.0
-    if np.isfinite(pole_order(pinch, _POLE_TOL)).any():
+    if any_pole((b - a + 1.0 for b in b_right for a in a_left), _POLE_TOL):
         raise ContourError("pole families coalesce: a right pole sits on a left one")
-    log_z = math.log(spec.argument)
+    log_z = spec.log_argument if spec.log_argument is not None else math.log(spec.argument)
     b1, b2 = b_right
-    gaps = np.ravel(b1 - b2)
-    whole = (gaps.imag == 0.0) & (gaps.real == np.rint(gaps.real))
+    gaps = np.atleast_1d(b1 - b2).tolist()
     parts = []  # (prefactor, its relative error, EvalResult of its series)
     plain = None
-    if not whole.any():
+    if not any(gap.imag == 0.0 and gap.real == round(gap.real) for gap in gaps):
         for bh, bo in ((b1, b2), (b2, b1)):
             pref, rel, spec_h = _residues(spec, bh, log_z, 1.0 + bh - bo, (1.0, bo - bh))
             parts.append((pref, rel, pfq(spec_h)))
-    elif (gaps == gaps[0]).all():
+    elif gaps.count(gaps[0]) == len(gaps):
         g = int(abs(gaps[0].real))
         lo = b2 if gaps[0].real > 0 else b1
         for j in range(g):
             pref, rel, _ = _residues(spec, lo + j, log_z, 1.0, (1.0, g - j), (-1.0, j + 1.0))
             parts.append(((-1.0) ** j * pref, rel, EvalResult(1.0, 0.0, Method.CLOSED_FORM)))
         pref, rel, spec_d = _residues(spec, lo + g, log_z, g + 1.0, (-1.0, g + 1.0))
-        derivative, plain = pfq_shift_derivative(spec_d)
+        if series:
+            derivative, plain = pfq_shift_derivative(spec_d, plain=True)
+        else:
+            derivative = pfq_shift_derivative(spec_d)
         parts.append((-((-1.0) ** g) * pref, rel, derivative))
     else:
         raise DomainError("meijer_mb: the lanes differ in their pole structure")
     total = sum(pref * f.value for pref, _, f in parts)
     err = sum(abs(p) * f.abs_err + (rel + ROUNDING) * abs(p * f.value) for p, rel, f in parts)
-    g_value = EvalResult(total if np.ndim(total) else complex(total), err, Method.CLOSED_FORM)
+    g_value = EvalResult(total if type(total) is np.ndarray else complex(total), err, Method.CLOSED_FORM)
     if not series:
         return g_value
     if plain is None:

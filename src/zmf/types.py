@@ -29,6 +29,14 @@ def check_finite(k: float, s) -> None:
         raise DomainError(f"k and s must be finite, got k={k}, s={s}")
 
 
+def edge_log(r: int, k: float):
+    """log(k^2 / 4^r) from the exact distance k - 2^r, so that a near-unit
+    series sees the |k - 2^r|^(s + r/2) cusp without the rounding of
+    k^2 / 4^r; None at k = 0."""
+    edge = 2.0**r
+    return 2.0 * math.log1p((k - edge) / edge) if k > 0.0 else None
+
+
 class Method(str, enum.Enum):
     CLOSED_FORM = "closed-form"
     QUADRATURE = "quadrature"
@@ -74,8 +82,8 @@ def stack(results) -> EvalResult:
 def lane_params(values) -> tuple:
     """Parameters as complex scalars or, when any of them is an array, as
     complex arrays broadcast to one common axis of lanes."""
-    if not any(type(v) is np.ndarray for v in values):
-        return tuple(complex(v) for v in values)
+    if np.ndarray not in map(type, values):
+        return tuple(map(complex, values))
     shapes = {v.shape for v in values if isinstance(v, np.ndarray)}
     if len(shapes) > 1 or len(next(iter(shapes))) != 1:
         raise DomainError("lane parameters must be 1-d arrays of one length")

@@ -24,8 +24,8 @@ of w3 and w2_odd are summed as their right-pole residue series
 Lanes: w2 and w3 take s as a scalar or as a 1-d array of lanes (kept off
 the circle's windows); one body serves both, and with an array each pFq
 is summed once over all lanes (hyper).  The circle evaluates its 9 upper
-nodes as one such call (at r = 4, h_rs node by node), and the Mahler
-derivative stencil (analysis) its four offsets.
+nodes as one such call (at r = 4, h_rs node by node), and so does the W_3
+Mahler derivative stencil (analysis) with its four offsets.
 
 The heavy-regime formulas all analytically continue the same hypergeometric
 family past its z = 1 singularity; the continuation half-plane is fixed once
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .gamma import _POLE_TOL, cpow, nearest_int
+from .gamma import _POLE_TOL, cpow, pole_order
 from .hyper import (
     ContinuationBranch,
     SeriesSpec,
@@ -50,10 +50,9 @@ from .hyper import (
     gamma_ratio,
     pfq,
     pfq_continued,
-    pfq_stacked,
 )
 from .meijer import meijer_mb, w2_g_spec, w3_g_spec
-from .types import ROUNDING, EvalResult, Method, ZmfPoint, check_finite, stack
+from .types import ROUNDING, EvalResult, Method, ZmfPoint, check_finite, edge_log, stack
 
 # Frozen calibration: continuing the family series to w = 4^r/k^2 > 1 through
 # the lower half w-plane reproduces the torus integral (the boundary value
@@ -74,14 +73,6 @@ _ODD_MIRROR = slice(_ODD_NODES // 2 - 1, 0, -1)
 _ODD_CIRCLE = np.concatenate((_ODD_UPPER, _ODD_UPPER[_ODD_MIRROR].conj()))
 
 
-def _edge_log(r: int, k: float):
-    """log(k^2 / 4^r) from the exact distance k - 2^r, so that the
-    near-unit series sees the |k - 2^r|^(s + r/2) cusp without the rounding
-    of k^2 / 4^r; None at k = 0."""
-    edge = 2.0**r
-    return 2.0 * math.log1p((k - edge) / edge) if k > 0.0 else None
-
-
 def _odd_center(s: complex):
     """The odd integer n >= 1 with |s - n| <= rho / 8, else None."""
     n = 2 * round((s.real - 1.0) / 2.0) + 1
@@ -92,7 +83,7 @@ def _lane_s(k: float, s) -> tuple:
     """(|k|, s, the math module for s): s a complex scalar (cmath) or a 1-d
     complex array of lanes (numpy)."""
     k = abs(float(k))
-    if np.ndim(s) == 0:
+    if type(s) is not np.ndarray or s.ndim == 0:
         s, xp = complex(s), cmath
     else:
         s, xp = np.asarray(s, dtype=complex), np
@@ -123,7 +114,7 @@ def w1(k: float, s: complex) -> EvalResult:
     s = complex(s)
     check_finite(k, s)
     if k > 2.0:
-        f = pfq(SeriesSpec((-s / 2, (1 - s) / 2), (1.0,), 4.0 / (k * k), -_edge_log(1, k)))
+        f = pfq(SeriesSpec((-s / 2, (1 - s) / 2), (1.0,), 4.0 / (k * k), -edge_log(1, k)))
         val = cpow(k, s) * f.value
         return EvalResult(val, abs(cpow(k, s)) * f.abs_err, Method.CLOSED_FORM)
     if k == 2.0:
@@ -134,25 +125,25 @@ def w1(k: float, s: complex) -> EvalResult:
         )
         return EvalResult(val, rel * abs(val), Method.CLOSED_FORM)
     # |k| < 2: prefactor 4^s Gamma((1+s)/2)^2 / (pi Gamma(1+s)) in log space.
-    n = nearest_int(s, _POLE_TOL)
-    if n is not None and n <= -1:
-        if n % 2 != 0:
+    m = pole_order(s, _POLE_TOL)  # s next to -m; s = 0 is regular
+    if m:
+        if m % 2 != 0:
             # Double pole of Gamma((1+s)/2)^2 against a single pole of
             # Gamma(1+s): a genuine pole of W_1.
-            raise PoleError(f"W_1(k;s) has a pole at s = {n} for |k| < 2")
-        # Next to an even negative integer only Gamma(1+s) is singular: take
-        # 1/Gamma(1+s) = Gamma(-s) sin(pi (1+s)) / pi by reflection, with the
-        # exact offset s - n in the sine, so W_1 is 0 at n itself.
+            raise PoleError(f"W_1(k;s) has a pole at s = {-m} for |k| < 2")
+        # Next to an even negative integer -m only Gamma(1+s) is singular:
+        # take 1/Gamma(1+s) = Gamma(-s) sin(pi (1+s)) / pi by reflection, with
+        # the exact offset s + m in the sine, so W_1 is 0 at -m itself.
         pref, rel = gamma_ratio(
             s * math.log(4.0) - 2.0 * math.log(math.pi), (2.0, (1.0 + s) / 2), (1.0, -s)
         )
-        pref *= -cmath.sin(math.pi * (s - n))
+        pref *= -cmath.sin(math.pi * (s + m))
         rel += ROUNDING
     else:
         pref, rel = gamma_ratio(
             s * math.log(4.0) - math.log(math.pi), (2.0, (1.0 + s) / 2), (-1.0, 1.0 + s)
         )
-    f = pfq(SeriesSpec((-s / 2, -s / 2), (0.5,), k * k / 4.0, _edge_log(1, k)))
+    f = pfq(SeriesSpec((-s / 2, -s / 2), (0.5,), k * k / 4.0, edge_log(1, k)))
     val = pref * f.value
     return EvalResult(val, abs(pref) * f.abs_err + rel * abs(val), Method.CLOSED_FORM)
 
@@ -171,7 +162,7 @@ def w_light(r: int, k: float, s: complex) -> EvalResult:
             raise DomainError("boundary |k| = 2^r requires Re(s) > -r/2")
         f = pfq(family_spec(r, s, 1.0))
     else:
-        f = pfq(family_spec(r, s, 4.0**r / (k * k), -_edge_log(r, k)))
+        f = pfq(family_spec(r, s, 4.0**r / (k * k), -edge_log(r, k)))
     log_scale = s * math.log(k)
     scale = cmath.exp(log_scale)
     err = abs(scale) * (f.abs_err + ROUNDING * (1.0 + abs(log_scale)) * abs(f.value))
@@ -217,18 +208,16 @@ def w2(k: float, s) -> EvalResult:
     n = _odd_window(k, s, xp)
     if n is not None:
         return _odd_limit(lambda z: w2(k, z), n, s)
-    z, log_z = k * k / 16.0, _edge_log(2, k)
-    specs = [SeriesSpec((-s / 2,) * 3, ((1 - s) / 2, 0.5), z, log_z)]
-    if k > 0.0:  # the second 3F2 is multiplied by k^(1 + s), 0 at k = 0
-        specs.append(SeriesSpec((0.5, 0.5, 0.5), (1 + s / 2, 1.5 + s / 2), z, log_z))
-    f2, *f1 = pfq_stacked(specs)
+    z, log_z = k * k / 16.0, edge_log(2, k)
+    f2 = pfq(SeriesSpec((-s / 2,) * 3, ((1 - s) / 2, 0.5), z, log_z))
     pref2, rel2 = gamma_ratio(0.0, (2.0, s + 1.0), (-4.0, s / 2 + 1.0))
     total = pref2 * f2.value
     err = abs(pref2) * f2.abs_err + rel2 * abs(total)
-    if f1:
+    if k > 0.0:
+        f1 = pfq(SeriesSpec((0.5, 0.5, 0.5), (1 + s / 2, 1.5 + s / 2), z, log_z))
         pref1 = xp.tan(0.5 * math.pi * s) / (2.0 * math.pi * (s + 1.0)) * xp.exp((1.0 + s) * math.log(k))
-        total = total + pref1 * f1[0].value
-        err = err + abs(pref1) * f1[0].abs_err
+        total = total + pref1 * f1.value
+        err = err + abs(pref1) * f1.abs_err
     return EvalResult(total, err + 1e-14 * (1.0 + abs(total)), Method.CLOSED_FORM)
 
 
@@ -293,7 +282,7 @@ def w3(k: float, s) -> EvalResult:
     n = _odd_window(k, s, xp)
     if n is not None:
         return _odd_limit(lambda z: w3(k, z), n, s)
-    z, log_z, s1 = k * k / 64.0, _edge_log(3, k), 1.0 + s
+    z, log_z, s1 = k * k / 64.0, edge_log(3, k), 1.0 + s
     f1 = pfq(SeriesSpec((-s / 2,) * 4, ((1 - s) / 2,) * 2 + (0.5,), z, log_z))
     pref1, rel1 = gamma_ratio(0.0, (3.0, s1), (-6.0, 1.0 + s / 2))
     total = pref1 * f1.value

@@ -120,7 +120,7 @@ def test_shift_derivative_error_bar_sweep():
     for _ in range(24):
         upper, lower = tuple(param(0.2) for _ in range(3)), tuple(param(0.3) for _ in range(2))
         spec = SeriesSpec(upper, lower, rng.uniform(0.3, 0.98))
-        res, plain = pfq_shift_derivative(spec)
+        res, plain = pfq_shift_derivative(spec, plain=True)
         assert abs(res.value - _mp_shift_derivative(spec)) <= res.abs_err
         with mpmath.workdps(30):
             want = complex(mpmath.hyper(spec.upper, spec.lower, spec.argument))
@@ -278,11 +278,14 @@ def test_lanes_equal_one_lane_calls(seed):
     # of its one-lane call.  Lane 1 terminates: its first upper parameter is
     # exactly -3.
     upper, lower, z = _seeded_lanes(seed)
-    shifted, plain = pfq_shift_derivative(SeriesSpec(tuple(upper), tuple(lower), z))
+    shifted, plain = pfq_shift_derivative(SeriesSpec(tuple(upper), tuple(lower), z), plain=True)
     for i in range(len(upper[0])):
-        one_shifted, one_plain = pfq_shift_derivative(_one_lane(upper, lower, z, i))
+        one_shifted, one_plain = pfq_shift_derivative(_one_lane(upper, lower, z, i), plain=True)
         assert (one_shifted.value[0], one_shifted.abs_err[0]) == (shifted.value[i], shifted.abs_err[i])
         assert (one_plain.value[0], one_plain.abs_err[0]) == (plain.value[i], plain.abs_err[i])
+        # a scalar spec takes the scalar path, which agrees within the bars
+        scalar = pfq_shift_derivative(SeriesSpec(tuple(complex(p[i]) for p in upper), tuple(complex(p[i]) for p in lower), z))
+        assert abs(scalar.value - shifted.value[i]) <= scalar.abs_err + shifted.abs_err[i]
     upper[0][1] = -3.0
     res = pfq(SeriesSpec(tuple(upper), tuple(lower), z))
     for i in range(len(upper[0])):

@@ -514,6 +514,28 @@ class TestNearBoundary:
             assert abs(g.value - ti.value) <= g.abs_err
         assert cmath.isfinite(w(3, 8.0 - 1e-13, 0.5).value)
 
+    @pytest.mark.parametrize("k", [8.0 - 1e-9, 8.0 - 1e-13])
+    @pytest.mark.parametrize("s", [-0.9, 0.5])
+    def test_r3_just_below_edge_against_independent_terms(self, k, s):
+        # w3 reads its 4F3 term from the G block's double-pole series, whose
+        # tail cusp has the exponent s + 3/2; the reference sums that 4F3 by
+        # pfq with log z from the exact distance k - 8 and takes the G block
+        # from the triple integral.
+        res = w3(k, s)
+        z, log_z = k * k / 64.0, 2.0 * math.log1p((k - 8.0) / 8.0)
+        f1 = pfq(SeriesSpec((-s / 2,) * 4, ((1 - s) / 2, (1 - s) / 2, 0.5), z, log_z))
+        f2 = pfq(SeriesSpec((0.5,) * 4, (1.0, 1 + s / 2, (3 + s) / 2), z, log_z))
+        g = meijer_triple_integral(s, k, tol=1e-12)
+        t = math.tan(0.5 * math.pi * s)
+        parts = [
+            (math.gamma(1 + s) ** 3 / math.gamma(1 + s / 2) ** 6, f1),
+            (-t * t / (4 * math.pi * (1 + s)) * k ** (1 + s), f2),
+            (4.0**s * math.gamma(1 + s) * t / math.pi**3.5, g),
+        ]
+        ref = sum(c * f.value for c, f in parts)
+        ref_err = sum(abs(c) * f.abs_err for c, f in parts) + 1e-14 * abs(ref)
+        assert abs(res.value - ref) <= res.abs_err + ref_err
+
     def test_r4_just_below_edge_raises_typed_error(self):
         # The continuation ODE cannot start at its singular point z = 1.
         with pytest.raises(ZmfError):

@@ -3,15 +3,15 @@
 Usage, from the root of a checkout whose working tree holds the change:
 
     python3 tools/bench_pairs.py --out BENCH_20.json --workloads eval-contour \
-        --seeds 1 2 --pairs 10 --seconds 20 --claim eval-contour:tasks_per_s:1.4
+        --seeds 1 2 --pairs 10 --claim eval-contour:tasks_per_s:1.4
 
 The parent side is `git archive` of --base (default HEAD) unpacked into a
 scratch directory; the change side is a copy of the working tree's tracked
 and untracked, not ignored, files.  Both run `perfbench/run.py` from their
 own directory, so neither writes into the other.  For each workload and seed
 the two sides run in --pairs alternating pairs (pair i even: parent first),
-each run `--trace 0`; afterwards each side runs once with `--trace 1` for the
-per-layer counts.  The output holds, per workload, seed and end-to-end
+each run `--trace 0` for the `run_seconds` that BENCHMARK.json sets;
+afterwards each side runs once with `--trace 1` for the per-layer counts.  The output holds, per workload, seed and end-to-end
 metric, both sides' runs, medians and inclusive quartiles, and the number of
 pairs the change wins (ties count for neither side).  A --claim
 workload:metric:factor also records whether the change's median beats the
@@ -110,7 +110,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--base", default="HEAD")
     ap.add_argument("--scratch", default=None, help="directory for the two checkouts")
     ap.add_argument("--claim", action="append", default=[], help="workload:metric:factor")
@@ -119,12 +118,14 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 10")
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="bench_pairs_"))
     dirs = _checkouts(scratch, args.base)
-    specs = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    specs = {m["name"]: m for m in bench["end_to_end"]}
     base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                           check=True, capture_output=True, text=True).stdout.strip()
     result = {
         "command": "python3 perfbench/run.py --workload <w> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "method": f"parent: git archive of {base}; change: the working tree; "
                   f"{args.pairs} alternating pairs per workload and seed (pair i even: "
                   "parent first), inclusive quartiles; then one --trace 1 run per side",
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(_run(dirs[side], workload, seed, args.seconds, 0))
+                    runs[side].append(_run(dirs[side], workload, seed, seconds, 0))
                     print(f"{key} pair {i} {side}: "
                           f"{runs[side][-1]['metrics']['tasks_per_s']['value']:.1f} tasks/s",
                           file=sys.stderr)
