@@ -18,8 +18,8 @@ Three evaluation mechanisms live here:
   zmf needs.
 
 The first two also sum pfq_shift_derivative, the residue series of a double
-Mellin-Barnes pole, together with the plain sum of the same terms;
-gamma_ratio gives Gamma prefactors with their error.
+Mellin-Barnes pole, together with the plain sum of the same terms in one
+pass; gamma_ratio gives Gamma prefactors with their error.
 
 Lanes: a SeriesSpec whose parameters are 1-d arrays (one shared argument)
 is summed by one numpy term recurrence over all its lanes (_shift_terms,
@@ -27,9 +27,10 @@ _lane_sums), the way Johansson (ACM TOMS 45 (2019), art. 30) sums a series
 over many parameter sets; gamma_ratio takes lanes too.  Each lane stops at
 the count its own one-lane call reaches, and every product and sum over the
 parameters runs lane by lane, so a lane's value and error are bit-identical
-to that call.  A scalar spec keeps the scalar paths, which are faster for
-one series: pfq's Python loop and, for pfq_shift_derivative, the same numpy
-recurrence with its bookkeeping in Python floats.
+to that call.  A scalar spec is one lane of that recurrence, with Python
+numbers back.  Only pfq keeps a scalar Python loop: eval-series' series are
+short, and a pass of its seed-1 pool took about twice as long when scalar
+pfq went through _lane_sums (345-539 ms against 190-268 ms, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -301,8 +302,10 @@ def _start_count(z: complex) -> int:
 
 
 def _lane_sums(spec: SeriesSpec, shifted: bool) -> tuple:
-    """pfq of a lane spec at |z| <= 0.999 by the numpy recurrence, and with
-    shifted also pfq_shift_derivative, as lane results.
+    """pfq at |z| <= 0.999 by the numpy recurrence, and with shifted also the
+    shifted sum of pfq_shift_derivative: (plain, shifted or None), lane
+    results for a lane spec and Python numbers for a scalar one, which is
+    summed as one lane.
 
     The count starts at _start_count and doubles
     until, in every lane, the last term ratio is below rho = (1 + |z|)/2 and
@@ -368,46 +371,23 @@ def _lane_sums(spec: SeriesSpec, shifted: bool) -> tuple:
             rows = end == n
             for whole, part in zip(out, sums(rows, int(n))):
                 whole[rows] = part
+    if not spec.lanes:
+        out = [x.item() for x in out]
     plain = EvalResult(out[0], out[1], Method.CLOSED_FORM)
     return plain, EvalResult(out[2], out[3], Method.CLOSED_FORM) if shifted else None
 
 
-def _scalar_shift_sums(spec: SeriesSpec) -> tuple:
-    """_lane_sums(spec, shifted=True) for a scalar spec, with the same stop
-    rule and errors kept in Python floats: a one-lane _lane_sums costs about
-    1.8x as much (a W_3 block's series, 2-core Xeon, interleaved runs)."""
-    z = spec.argument
-    rho = 0.5 * (1.0 + abs(z))
-    count, terms = _start_count(z), None
-    while True:
-        terms = _shift_terms(spec, count, terms)
-        mag = np.abs(terms[0][0])
-        abs_sum, tail = float(mag.sum()), float(mag[-1]) * rho / (1.0 - rho)
-        if abs(terms[2][0, -1]) <= rho and tail <= _EPS * abs_sum:
-            break
-        count *= 2
-        if count > _MAX_COUNT:
-            raise ConvergenceError(f"pFq: no convergence within {_MAX_COUNT:,} terms")
-    t, d, _, step, psi_scale = (x[0] for x in terms)
-    log_z = spec.log_argument if spec.log_argument is not None else cmath.log(z)
-    terms_n, rounding = _shifted_sum(t, d, log_z, step, psi_scale, abs_sum)
-    reach = abs(log_z + d[-1]) + count * abs(step[-1])
-    return (
-        EvalResult(complex(terms_n.sum()), float(tail * reach + rounding), Method.CLOSED_FORM),
-        EvalResult(complex(t.sum()), float(tail + _chain_rounding(t)), Method.CLOSED_FORM),
-    )
-
-
-def _scaled_terms(spec: SeriesSpec, nodes, log_z: complex | None = None) -> np.ndarray:
+def _scaled_terms(spec: SeriesSpec, nodes, log_z: complex) -> tuple:
     """n^(1+alpha) t_n / z^n at large n, from the Stirling series
     log Gamma(n + p) = (n + p - 1/2) log n - n + log(2 pi)/2
                        + sum_k (-1)^(k+1) B_(k+1)(p) / (k (k+1) n^k)
     (DLMF 5.11.8), whose leading parts cancel between the parameters; summing
     log Gamma(n + p) itself would lose ~n log n * eps.  Needs n >> |p|.
 
-    With log_z, the same times log z + d_n (_shift_terms), d_n from the
+    Returned with the same times log z + d_n (_shift_terms), d_n from the
     p-derivative psi(n + p) = log n + sum_k (-1)^(k+1) B_k(p) / (k n^k) of that
-    series (dB_(k+1)(p)/dp = (k+1) B_k(p), DLMF 24.4.34), whose log n cancel."""
+    series (dB_(k+1)(p)/dp = (k+1) B_k(p), DLMF 24.4.34), whose log n cancel:
+    the right-hand sides of the plain and the shifted tail fit."""
     params = np.array(spec.upper + spec.lower + (1.0,))
     sign = np.r_[np.ones(len(spec.upper)), -np.ones(len(spec.lower) + 1)]
     bern = sign @ (params[:, None] ** _DEG @ _BERNOULLI_POLY.T)
@@ -416,10 +396,8 @@ def _scaled_terms(spec: SeriesSpec, nodes, log_z: complex | None = None) -> np.n
     const = sum(log_gamma(b) for b in spec.lower) - sum(log_gamma(a) for a in spec.upper)
     inv = 1.0 / np.asarray(nodes, dtype=float)
     scaled = np.exp(const + np.polyval(np.r_[coef[::-1], 0.0], inv))
-    if log_z is None:
-        return scaled
     shift = (-1.0) ** (k + 1) * bern[k] / k
-    return scaled * (log_z + np.polyval(np.r_[shift[::-1], 0.0], inv))
+    return scaled, scaled * (log_z + np.polyval(np.r_[shift[::-1], 0.0], inv))
 
 
 def _expm1_over(x: complex) -> complex:
@@ -513,12 +491,13 @@ def _power_tails(alpha: complex, a: float, log_z: complex) -> tuple:
     return cmath.exp(a * log_z) * np.exp(-sigma * math.log(a)) * series, cusp_err
 
 
-def _sum_near_unit(spec: SeriesSpec, shifted: bool = False) -> EvalResult:
+def _sum_near_unit(spec: SeriesSpec, shifted: bool = False):
     """pFq for z at or near 1: direct partial sum to n_cut plus the tail
     n > n_cut fitted to the t_n ~ z^n n^{-1-alpha} (c0 + c1/n + ...)
-    asymptotics, each power summed in closed form (_power_tails).  shifted
-    sums t_n (log z + d_n) instead (pfq_shift_derivative), whose tail has the
-    same powers: d_n is O(1/n) with no log n.
+    asymptotics, each power summed in closed form (_power_tails).  With
+    shifted, return the pair of that sum and the shifted sum of
+    pfq_shift_derivative, sum t_n (log z + d_n), from the same direct terms
+    and tail powers: d_n is O(1/n) with no log n.
 
     The error is the gap between two fits of the same tail (nodes n_cut 2^m,
     m = 0..5 and m = 1..6), the error of the cusp terms in the tail sums and
@@ -536,21 +515,22 @@ def _sum_near_unit(spec: SeriesSpec, shifted: bool = False) -> EvalResult:
     if (n_cut + 1) * abs(log_z) > 2.0:
         n_cut = max(n_cut, math.ceil(36.0 / abs(log_z)))
     t, d, _, step, psi_scale = (x if x is None else x[0] for x in _shift_terms(spec, n_cut, shifted=shifted))
+    direct = [(t, _chain_rounding(t))]
     if shifted:
-        terms, rounding = _shifted_sum(t, d, log_z, step, psi_scale, np.abs(t).sum())
-    else:
-        terms, rounding = t, _chain_rounding(t)
+        direct.append(_shifted_sum(t, d, log_z, step, psi_scale, np.abs(t).sum()))
     nodes = [n_cut * 2**m for m in range(_FIT_TERMS + 1)]
-    rhs = _scaled_terms(spec, nodes, log_z if shifted else None)
     vand = np.array([[(1.0 / n) ** j for j in range(_FIT_TERMS)] for n in nodes])
     sums, sums_err = _power_tails(alpha, n_cut + 1.0, log_z)
-    coef, coef_alt = (
-        np.linalg.solve(vand[lo : lo + _FIT_TERMS], rhs[lo : lo + _FIT_TERMS]) for lo in (0, 1)
-    )
-    tail = complex(coef @ sums)
-    fit = abs(tail - complex(coef_alt @ sums)) + float(np.abs(coef) @ sums_err)
-    err = float(fit + rounding + ROUNDING * abs(tail))
-    return EvalResult(complex(terms.sum()) + tail, err, Method.CLOSED_FORM)
+    out = []
+    for (terms, rounding), rhs in zip(direct, _scaled_terms(spec, nodes, log_z)):
+        coef, coef_alt = (
+            np.linalg.solve(vand[lo : lo + _FIT_TERMS], rhs[lo : lo + _FIT_TERMS]) for lo in (0, 1)
+        )
+        tail = complex(coef @ sums)
+        fit = abs(tail - complex(coef_alt @ sums)) + float(np.abs(coef) @ sums_err)
+        err = float(fit + rounding + ROUNDING * abs(tail))
+        out.append(EvalResult(complex(terms.sum()) + tail, err, Method.CLOSED_FORM))
+    return tuple(out) if shifted else out[0]
 
 
 def pfq(spec: SeriesSpec) -> EvalResult:
@@ -604,29 +584,26 @@ def pfq(spec: SeriesSpec) -> EvalResult:
     raise ConvergenceError("pFq: series did not converge within the term budget")
 
 
-def pfq_shift_derivative(spec: SeriesSpec, plain: bool = False):
-    """sum_n t_n (log z + d_n), d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n),
-    for a non-terminating series with |z| <= 1: the derivative in e at 0 of
+def pfq_shift_derivative(spec: SeriesSpec) -> tuple:
+    """pfq(spec) = sum_n t_n and the shifted sum sum_n t_n (log z + d_n),
+    d_n = sum psi(a + n) - sum psi(b + n) - psi(1 + n), from the same terms,
+    for a non-terminating series with |z| <= 1.  The shifted sum is the
+    derivative in e at 0 of
     z^e sum_n z^n prod Gamma(a + e + n) / (prod Gamma(b + e + n) Gamma(1 + e + n))
     over prod Gamma(a) / prod Gamma(b), the residues of a double Mellin-Barnes
-    pole (meijer).  With plain, return the pair of that sum and pfq(spec) =
-    sum_n t_n, from the same terms at |z| <= 0.999 (_lane_sums for a lane
-    spec, _scalar_shift_sums for a scalar one); nearer 1 both are
-    _sum_near_unit sums, lane by lane for a lane spec."""
+    pole (meijer).  At |z| <= 0.999 both come from _lane_sums, a scalar spec
+    as one lane; nearer 1 from one _sum_near_unit, lane by lane for a lane
+    spec.  Raises DomainError past |z| = 1, as pfq does."""
+    az = abs(spec.argument)
+    if az > 1.0 + 1e-14:
+        raise DomainError(f"pfq_shift_derivative: the series diverges for |z| = {az} > 1")
+    if az <= 1.0 - 1e-3:
+        return _lane_sums(spec, shifted=True)
     if spec.lanes:
-        if abs(spec.argument) <= 1.0 - 1e-3:
-            total, shifted = _lane_sums(spec, shifted=True)
-            return (shifted, total) if plain else shifted
-        results = [pfq_shift_derivative(spec.lane(i), plain) for i in range(spec.lanes)]
-        return tuple(map(stack, zip(*results))) if plain else stack(results)
+        return tuple(map(stack, zip(*(pfq_shift_derivative(spec.lane(i)) for i in range(spec.lanes)))))
     if _termination_order(spec) is not None:
         raise DomainError("pfq_shift_derivative: the series terminates")
-    if abs(spec.argument) <= 1.0 - 1e-3:
-        shifted, total = _scalar_shift_sums(spec)
-    else:
-        shifted = _sum_near_unit(spec, shifted=True)
-        total = _sum_near_unit(spec) if plain else None
-    return (shifted, total) if plain else shifted
+    return _sum_near_unit(spec, shifted=True)
 
 
 def family_spec(r: int, s: complex, w: complex, log_w: complex | None = None) -> SeriesSpec:

@@ -18,7 +18,8 @@ For b_1 - b_2 not an integer these are two Slater series, each a Gamma
 prefactor times a pFq in +z.  For b_1 - b_2 = +-g, an integer, the poles
 b_lo + j, j < g, are simple (a finite sum) and the rest double, each adding
 -(-1)^g z^(b_lo+l) c_l (log z + d_l) to G, with c_l a pFq term and d_l its
-derivative in a common shift of the parameters (hyper.pfq_shift_derivative).
+derivative in a common shift of the parameters (hyper.pfq_shift_derivative,
+which returns the plain sum of the c_l from the same pass).
 W_3's block has b_1 = b_2, g = 0; W_2's at odd n has g = (1 + n)/2.
 
 Next to z = 1 both series sum their tails by hyper's near-unit fit.  In the
@@ -132,10 +133,7 @@ def meijer_mb(spec: MeijerSpec, series: bool = False):
             pref, rel, _ = _residues(spec, lo + j, log_z, 1.0, (1.0, g - j), (-1.0, j + 1.0))
             parts.append(((-1.0) ** j * pref, rel, EvalResult(1.0, 0.0, Method.CLOSED_FORM)))
         pref, rel, spec_d = _residues(spec, lo + g, log_z, g + 1.0, (-1.0, g + 1.0))
-        if series:
-            derivative, plain = pfq_shift_derivative(spec_d, plain=True)
-        else:
-            derivative = pfq_shift_derivative(spec_d)
+        plain, derivative = pfq_shift_derivative(spec_d)
         parts.append((-((-1.0) ** g) * pref, rel, derivative))
     else:
         raise DomainError("meijer_mb: the lanes differ in their pole structure")

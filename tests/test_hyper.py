@@ -59,6 +59,18 @@ def test_divergent_raises():
         pfq(SeriesSpec((0.5, 0.5), (1.0,), 1.5))
 
 
+@pytest.mark.parametrize("z", [1.0001, 1.2, -1.5])
+def test_shift_derivative_divergent_raises(z):
+    # pfq_shift_derivative summed the divergent series where pfq raises: a
+    # shifted sum of -3.14 with abs_err 2.3e-13 at z = 1.0001, and -2.2e62
+    # at z = 1.2.
+    with pytest.raises(DomainError):
+        pfq(SeriesSpec((0.5, 0.5), (1.0,), z))
+    for spec in (SeriesSpec((0.5, 0.5), (1.0,), z), SeriesSpec((np.array([0.5, 0.3]), 0.5), (1.0,), z)):
+        with pytest.raises(DomainError):
+            pfq_shift_derivative(spec)
+
+
 @pytest.mark.parametrize("z", [0.999, 0.9999999, 1.0 - 1e-11, 1.0, -0.9995])
 def test_near_unit_argument(z):
     # convergent at z = 1: Re(sum b - sum a) > 0
@@ -66,6 +78,17 @@ def test_near_unit_argument(z):
     got = pfq(spec).value
     want = mp_ref(spec.upper, spec.lower, z)
     assert got == pytest.approx(want, rel=2e-12)
+
+
+@pytest.mark.parametrize("z, log_z", [(0.9995, None), (1.0 - 1e-9, math.log1p(-1e-9))])
+def test_near_unit_plain_sum_is_pfq(z, log_z):
+    # One near-unit sum gives both of pfq_shift_derivative's results; its
+    # plain sum is pfq's, bit for bit.
+    spec = SeriesSpec((0.25, -0.4 + 0.3j, 0.7), (1.1, 0.9), z, log_z)
+    plain, _ = pfq_shift_derivative(spec)
+    want = pfq(spec)
+    assert (plain.value, plain.abs_err) == (want.value, want.abs_err)
+    assert abs(plain.value - mp_ref(spec.upper, spec.lower, z)) <= plain.abs_err
 
 
 @pytest.mark.parametrize("upper, z", [((-40.0, 1.0), 2.0), ((-30.0, 1.0), 1.0)])
@@ -120,7 +143,7 @@ def test_shift_derivative_error_bar_sweep():
     for _ in range(24):
         upper, lower = tuple(param(0.2) for _ in range(3)), tuple(param(0.3) for _ in range(2))
         spec = SeriesSpec(upper, lower, rng.uniform(0.3, 0.98))
-        res, plain = pfq_shift_derivative(spec, plain=True)
+        plain, res = pfq_shift_derivative(spec)
         assert abs(res.value - _mp_shift_derivative(spec)) <= res.abs_err
         with mpmath.workdps(30):
             want = complex(mpmath.hyper(spec.upper, spec.lower, spec.argument))
@@ -278,14 +301,17 @@ def test_lanes_equal_one_lane_calls(seed):
     # of its one-lane call.  Lane 1 terminates: its first upper parameter is
     # exactly -3.
     upper, lower, z = _seeded_lanes(seed)
-    shifted, plain = pfq_shift_derivative(SeriesSpec(tuple(upper), tuple(lower), z), plain=True)
+    plain, shifted = pfq_shift_derivative(SeriesSpec(tuple(upper), tuple(lower), z))
     for i in range(len(upper[0])):
-        one_shifted, one_plain = pfq_shift_derivative(_one_lane(upper, lower, z, i), plain=True)
+        one_plain, one_shifted = pfq_shift_derivative(_one_lane(upper, lower, z, i))
         assert (one_shifted.value[0], one_shifted.abs_err[0]) == (shifted.value[i], shifted.abs_err[i])
         assert (one_plain.value[0], one_plain.abs_err[0]) == (plain.value[i], plain.abs_err[i])
-        # a scalar spec takes the scalar path, which agrees within the bars
-        scalar = pfq_shift_derivative(SeriesSpec(tuple(complex(p[i]) for p in upper), tuple(complex(p[i]) for p in lower), z))
-        assert abs(scalar.value - shifted.value[i]) <= scalar.abs_err + shifted.abs_err[i]
+        # a scalar spec is summed as one lane, with Python numbers back
+        scalar = SeriesSpec(tuple(complex(p[i]) for p in upper), tuple(complex(p[i]) for p in lower), z)
+        scalar_plain, scalar_shifted = pfq_shift_derivative(scalar)
+        assert (scalar_shifted.value, scalar_shifted.abs_err) == (shifted.value[i], shifted.abs_err[i])
+        assert (scalar_plain.value, scalar_plain.abs_err) == (plain.value[i], plain.abs_err[i])
+        assert (type(scalar_shifted.value), type(scalar_shifted.abs_err)) == (complex, float)
     upper[0][1] = -3.0
     res = pfq(SeriesSpec(tuple(upper), tuple(lower), z))
     for i in range(len(upper[0])):

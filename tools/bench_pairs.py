@@ -13,7 +13,12 @@ the two sides run in --pairs alternating pairs (pair i even: parent first),
 each run `--trace 0` for the `run_seconds` that BENCHMARK.json sets;
 afterwards each side runs once with `--trace 1` for the per-layer counts.  The output holds, per workload, seed and end-to-end
 metric, both sides' runs, medians and inclusive quartiles, and the number of
-pairs the change wins (ties count for neither side).  A --claim
+pairs the change wins (ties count for neither side), and the no-regression
+test that BENCHMARK.json's `bound` sets: "within" when the change's median is
+worse than the parent's by at most that fraction of the parent's median,
+"worse" when by more, and "unresolved" when the parent's own interquartile
+range, as the same fraction, is wider than the bound, unless every run of the
+change reads better than every run of the parent.  A --claim
 workload:metric:factor also records whether the change's median beats the
 parent's by that factor, wins 9 of 10 pairs or more, and differs from the
 parent's median by more than the parent's interquartile range.
@@ -85,8 +90,25 @@ def _summary(runs: dict, specs: dict) -> dict:
         for side, xs in sides.items():
             q1, med, q3 = _quartiles(xs)
             entry[side] = {"median": med, "q1": q1, "q3": q3, "runs": xs}
+        entry["no_regression"] = _no_regression(entry, sign, spec["bound"])
         out[name] = entry
     return out
+
+
+def _no_regression(metric: dict, sign: float, bound: float) -> dict:
+    """How much worse the change's median is than the parent's, and the
+    parent's interquartile range, both as fractions of the parent's median,
+    with the status "within", "worse" or "unresolved" against bound."""
+    p, c = metric["parent"], metric["change"]
+    scale = abs(p["median"]) or 1.0
+    worse_by = sign * (p["median"] - c["median"]) / scale
+    spread = (p["q3"] - p["q1"]) / scale
+    all_better = min(sign * x for x in c["runs"]) > max(sign * x for x in p["runs"])
+    if spread > bound and not all_better:
+        status = "unresolved"
+    else:
+        status = "within" if worse_by <= bound else "worse"
+    return {"bound": bound, "worse_by": worse_by, "parent_spread": spread, "status": status}
 
 
 def _claim(metric: dict, factor: float) -> dict:
@@ -161,6 +183,10 @@ def main(argv=None) -> int:
             key: _claim(entry["metrics"][metric], float(factor))
             for key, entry in result["end_to_end"].items() if key.startswith(workload + " ")
         }
+    result["no_regression"] = {
+        key: {name: m["no_regression"]["status"] for name, m in entry["metrics"].items()}
+        for key, entry in result["end_to_end"].items()
+    }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
