@@ -17,12 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ContourError, ConvergenceError, DomainError, PoleError
 from .gamma import cpow
 from .hyper import SeriesSpec, pfq
 from .meijer import elliptic_2k, meijer_mb, w3_g_spec
 from .types import EvalResult, Method
-from .quadutil import _ts_run, ts_rows
+from .quadutil import _ts_run
 from .zmf import w1, w2, w3
 
 
@@ -144,7 +144,10 @@ def _edge_phase_sum(f, za: complex, zb: complex, n: int = 64, depth: int = 0) ->
     vals = [f(z) for z in zs]
     total = 0.0
     for i in range(n):
-        dphi = cmath.phase(vals[i + 1] / vals[i])
+        try:
+            dphi = cmath.phase(vals[i + 1] / vals[i])
+        except ZeroDivisionError as exc:
+            raise ContourError("argument principle: W_1 vanishes on the contour") from exc
         if abs(dphi) > 0.5 * math.pi:
             if depth >= 8:
                 raise ConvergenceError(
@@ -224,7 +227,7 @@ def check_beauty(
             ]
         ) * jacobi_weight(alpha, beta, t)
 
-    lhs, _, ok = _ts_run(integrand, 0.0, x, 1e-11, 9)
+    lhs, _, ok = _ts_run(integrand, 0.0, x, 1e-11)
     if not ok:
         raise ConvergenceError("check_beauty: the integral missed 1e-11")
 
@@ -272,7 +275,7 @@ def mahler_w2_routes(k: float) -> dict:
         x = np.maximum(sqrt_z * np.sin(theta), np.finfo(float).tiny)
         return 4.0 * np.arcsin(x) / x
 
-    v, _, ok = _ts_run(integrand, 0.0, 0.5 * math.pi, 1e-12, 9)
+    v, _, ok = _ts_run(integrand, 0.0, 0.5 * math.pi, 1e-12)
     if not ok:
         raise ConvergenceError("mahler_w2_routes: the integral missed 1e-12")
     integral = k / (8.0 * math.pi) * float(v)
@@ -296,9 +299,14 @@ def mahler_w3_routes(k: float) -> dict:
 
     The triple integral runs in x3 = u^2 and x2 = sin^2 theta, which absorb
     the weights 1/sqrt(x3) and 1/sqrt(x2 (1 - x2)) and leave
-    4 int_0^1 du int_0^{pi/2} dtheta 2 K(1 - c u^2 sin^2 theta), c = k^2/64,
-    whose only singularities are logarithmic, at u = 0 and theta = 0.  Raises
-    ConvergenceError when an integral misses its tolerance.
+    int_0^1 du int_0^{pi/2} dtheta g(u^2 sin^2 theta), g(y) = 2 K(1 - c y),
+    c = k^2/64.  At fixed u put x = u sin theta; since
+    int_x^1 du / sqrt(u^2 - x^2) = arccosh(1/x), the double integral is
+    int_0^1 g(x^2) arccosh(1/x) dx, with the weight written as
+    log1p(sqrt((1 - x)(1 + x))) - log x.  Both logarithmic singularities
+    (of g and of the weight) sit at x = 0, and the weight vanishes like
+    sqrt(2 (1 - x)) at x = 1.  Raises ConvergenceError when the integral
+    misses its tolerance.
     """
     k = abs(float(k))
     if not 0.0 < k < 8.0:
@@ -307,18 +315,12 @@ def mahler_w3_routes(k: float) -> dict:
     closed = g / (2.0 * math.pi**2.5)
     c64 = k * k / 64.0
 
-    def outer(u: np.ndarray) -> np.ndarray:
-        def inner(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-            return elliptic_2k(c64, u[rows, None], np.sin(theta))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return elliptic_2k(c64, x, 1.0) * (np.log1p(np.sqrt((1.0 - x) * (1.0 + x))) - np.log(x))
 
-        v, _, ok = ts_rows(inner, np.zeros(len(u)), 0.5 * math.pi, 1e-12)
-        if not ok.all():
-            raise ConvergenceError("mahler_w3_routes: an inner integral missed 1e-12")
-        return v
-
-    v, _, ok = _ts_run(outer, 0.0, 1.0, 1e-11, 9)
+    v, _, ok = _ts_run(integrand, 0.0, 1.0, 1e-11)
     if not ok:
-        raise ConvergenceError("mahler_w3_routes: the outer integral missed 1e-11")
+        raise ConvergenceError("mahler_w3_routes: the integral missed 1e-11")
     integral = k / (4.0 * math.pi**2) * v.real
     deriv = _fd_derivative(lambda hs: w3(k, hs).value).real
     return {"meijer": closed, "integral": integral, "derivative": deriv}

@@ -298,7 +298,7 @@ def moment_quadrature(r: int, v: int, tol: float = 1e-12) -> EvalResult:
     total = 0.0
     err = 0.0
     for f in (from_edge, from_zero):
-        val, e, ok = _ts_run(f, 0.0, 0.5, tol / 2.0, 9)
+        val, e, ok = _ts_run(f, 0.0, 0.5, tol / 2.0)
         if not ok:
             raise ConvergenceError(f"moment_quadrature missed tol {tol:.1e}")
         total += val.real

@@ -22,5 +22,5 @@ class EdgeSingularityError(ZmfError):
 
 
 class ContourError(ZmfError):
-    """A contour could not be placed (a Meijer-G right pole on a left pole
-    pinches it) or a winding sum does not round to an integer."""
+    """A contour could not be placed: a Meijer-G right pole on a left pole
+    pinches it, or an argument-principle contour runs through a zero."""

@@ -14,13 +14,13 @@ Gamma(1 - a_i + t) (left family).  Both supported orders have p = q and
 0 < z < 1, so C closes to the right: G is minus the sum of the residues at
 t = b_j + l (Slater, Generalized Hypergeometric Functions (1966), ch. 5;
 Luke, The Special Functions and Their Approximations I (1969), sec. 5.2).
-For b_1 - b_2 not an integer these are two Slater series, each a Gamma
-prefactor times a pFq in +z.  For b_1 - b_2 = +-g, an integer, the poles
-b_lo + j, j < g, are simple (a finite sum) and the rest double, each adding
--(-1)^g z^(b_lo+l) c_l (log z + d_l) to G, with c_l a pFq term and d_l its
-derivative in a common shift of the parameters (hyper.pfq_shift_derivative,
-which returns the plain sum of the c_l from the same pass).
-W_3's block has b_1 = b_2, g = 0; W_2's at odd n has g = (1 + n)/2.
+Both blocks have b_1 - b_2 = +-g, an integer; a block with any other gap
+raises DomainError.  The poles b_lo + j, j < g, are simple (a finite sum)
+and the rest double, each adding -(-1)^g z^(b_lo+l) c_l (log z + d_l) to G,
+with c_l a pFq term and d_l its derivative in a common shift of the
+parameters (hyper.pfq_shift_derivative, which returns the plain sum of the
+c_l from the same pass).  W_3's block has b_1 = b_2, g = 0; W_2's at odd n
+has g = (1 + n)/2.
 
 Next to z = 1 both series sum their tails by hyper's near-unit fit.  In the
 W_2 and W_3 blocks log z enters as log z times a bounded series and through
@@ -51,7 +51,7 @@ from scipy.special import ellipkm1
 
 from .errors import ContourError, ConvergenceError, DomainError
 from .gamma import _POLE_TOL, any_pole, log_gamma
-from .hyper import SeriesSpec, gamma_ratio, pfq, pfq_shift_derivative
+from .hyper import SeriesSpec, gamma_ratio, pfq_shift_derivative
 from .quadutil import ts_rows
 from .types import ROUNDING, EvalResult, Method, edge_log, lane_params
 
@@ -120,31 +120,22 @@ def meijer_mb(spec: MeijerSpec, series: bool = False):
     log_z = spec.log_argument if spec.log_argument is not None else math.log(spec.argument)
     b1, b2 = b_right
     gaps = np.atleast_1d(b1 - b2).tolist()
+    gap = gaps[0]
+    if gaps.count(gap) != len(gaps) or gap.imag != 0.0 or gap.real != round(gap.real):
+        raise DomainError("meijer_mb: b_1 - b_2 is not one integer shared by every lane")
+    g = int(abs(gap.real))
+    lo = b2 if gap.real > 0 else b1
     parts = []  # (prefactor, its relative error, EvalResult of its series)
-    plain = None
-    if not any(gap.imag == 0.0 and gap.real == round(gap.real) for gap in gaps):
-        for bh, bo in ((b1, b2), (b2, b1)):
-            pref, rel, spec_h = _residues(spec, bh, log_z, 1.0 + bh - bo, (1.0, bo - bh))
-            parts.append((pref, rel, pfq(spec_h)))
-    elif gaps.count(gaps[0]) == len(gaps):
-        g = int(abs(gaps[0].real))
-        lo = b2 if gaps[0].real > 0 else b1
-        for j in range(g):
-            pref, rel, _ = _residues(spec, lo + j, log_z, 1.0, (1.0, g - j), (-1.0, j + 1.0))
-            parts.append(((-1.0) ** j * pref, rel, EvalResult(1.0, 0.0, Method.CLOSED_FORM)))
-        pref, rel, spec_d = _residues(spec, lo + g, log_z, g + 1.0, (-1.0, g + 1.0))
-        plain, derivative = pfq_shift_derivative(spec_d)
-        parts.append((-((-1.0) ** g) * pref, rel, derivative))
-    else:
-        raise DomainError("meijer_mb: the lanes differ in their pole structure")
+    for j in range(g):
+        pref, rel, _ = _residues(spec, lo + j, log_z, 1.0, (1.0, g - j), (-1.0, j + 1.0))
+        parts.append(((-1.0) ** j * pref, rel, EvalResult(1.0, 0.0, Method.CLOSED_FORM)))
+    pref, rel, spec_d = _residues(spec, lo + g, log_z, g + 1.0, (-1.0, g + 1.0))
+    plain, derivative = pfq_shift_derivative(spec_d)
+    parts.append((-((-1.0) ** g) * pref, rel, derivative))
     total = sum(pref * f.value for pref, _, f in parts)
     err = sum(abs(p) * f.abs_err + (rel + ROUNDING) * abs(p * f.value) for p, rel, f in parts)
     g_value = EvalResult(total if type(total) is np.ndarray else complex(total), err, Method.CLOSED_FORM)
-    if not series:
-        return g_value
-    if plain is None:
-        raise DomainError("meijer_mb: the block has no double poles")
-    return g_value, plain
+    return (g_value, plain) if series else g_value
 
 
 def elliptic_2k(c: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:

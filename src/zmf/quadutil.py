@@ -22,10 +22,10 @@ same level ladder with one integrand call per level on a 2-D grid of the
 rows still active.  Each row stops at its own level by the scalar rule:
 the successive difference falls below tol_i * (1 + |value|) or below
 tol_i.  A row that exhausts max_level keeps its last refinement and is
-flagged unconverged.  ``_ts_run`` is the one-row call and gives the same
-bits as a row of a batch.  Nothing here raises on non-convergence: a
-caller raises on the flag, or (as the torus nest does) carries an
-unconverged row's last difference in its error.
+flagged unconverged.  ``_ts_run`` is the one-row call over the whole
+ladder and gives the same bits as a row of a batch.  Nothing here raises
+on non-convergence: a caller raises on the flag, or (as the torus nest
+does) carries an unconverged row's last difference in its error.
 """
 
 from __future__ import annotations
@@ -131,10 +131,10 @@ def ts_rows(f, a, b, tol, max_level: int = _MAX_LEVEL):
     return value, diff + 1e-16 * cabs(value), ok
 
 
-def _ts_run(f, a: float, b: float, tol: float, max_level: int):
-    """One row of the level ladder for a 1-D integrand f(x).
+def _ts_run(f, a: float, b: float, tol: float):
+    """One row of the whole level ladder for a 1-D integrand f(x).
     Returns (value, error_estimate, converged)."""
-    val, err, ok = ts_rows(lambda rows, pts: f(pts[0])[None, :], a, b, tol, max_level)
+    val, err, ok = ts_rows(lambda rows, pts: f(pts[0])[None, :], a, b, tol)
     return val[0], err[0], bool(ok[0])
 
 

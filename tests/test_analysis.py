@@ -17,7 +17,7 @@ from zmf.analysis import (
     mahler_w3_routes,
     w1_rational_decomposition,
 )
-from zmf.errors import DomainError
+from zmf.errors import ContourError, DomainError
 
 
 class TestFunctionalEquations:
@@ -56,6 +56,13 @@ class TestCriticalLine:
         left = count_zeros_box(1.0, (-2.0, -0.505, 1e-3, 20.0))
         right = count_zeros_box(1.0, (-0.495, 1.0, 1e-3, 20.0))
         assert (left.winding, strip.winding, right.winding) == (0, 3, 0)
+
+    @pytest.mark.parametrize("box", [(-2.5, -1.5, 0.0, 0.5), (-2.0, -1.5, 0.0, 0.5)])
+    def test_zero_on_the_contour_raises(self, box):
+        # W_1(k; -2) = 0 exactly for |k| < 2, and s = -2 is a node of the
+        # bottom edge: the phase step divided by it (ZeroDivisionError).
+        with pytest.raises(ContourError, match="vanishes on the contour"):
+            count_zeros_box(1.0, box)
 
 
 class TestJacobiIdentity:
@@ -105,10 +112,11 @@ class TestMahler:
         vals = list(routes.values())
         assert max(vals) - min(vals) < 1e-5
 
-    @pytest.mark.parametrize("k", [0.5, 2.0, 6.0])
+    @pytest.mark.parametrize("k", [0.05, 0.5, 2.0, 6.0, 7.5, 7.9999])
     def test_w3_integral_matches_meijer(self, k):
-        # In (u, theta) the triple integral's singular points sit at the left
-        # ends; integrating 1/sqrt(1 - x2) in x2 left it 2.7e-9 off.
+        # In x = u sin theta both logarithmic singularities sit at x = 0, the
+        # left end; at k = 0.05 the log^2 there dominates, and at k = 7.9999
+        # the Meijer block's argument k^2/64 is next to 1.
         routes = mahler_w3_routes(k)
         assert routes["integral"] == pytest.approx(routes["meijer"], rel=1e-13)
 

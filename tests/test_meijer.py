@@ -87,11 +87,11 @@ def test_next_to_unit_argument(spec, want):
         MeijerSpec((0.3 + 0.2j, 0.7, 1.1), (0.4, -0.35, 0.5), (2, 3, 3, 3), 0.7),
     ],
 )
-def test_non_integer_gap_is_two_slater_series(spec):
-    # b_1 - b_2 is not an integer: every right pole is simple.
-    got = meijer_mb(spec)
-    want = mp_g(spec)
-    assert abs(got.value - want) <= got.abs_err <= 1e-12 * (1.0 + abs(got.value))
+def test_non_integer_gap_raises(spec):
+    # b_1 - b_2 is not an integer, which neither the W_2 nor the W_3 block
+    # has: the residue sum covers only the integer gap.
+    with pytest.raises(DomainError, match="not one integer"):
+        meijer_mb(spec)
 
 
 def test_coalescing_pole_families_raise():

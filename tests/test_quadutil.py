@@ -7,7 +7,7 @@ from zmf.quadutil import _ts_run, split_points, ts_rows
 
 
 def _converged(f, a, b, tol):
-    val, err, ok = _ts_run(f, a, b, tol, 9)
+    val, err, ok = _ts_run(f, a, b, tol)
     assert ok
     return val, err
 
@@ -56,7 +56,7 @@ def test_nonconvergent_run_is_flagged():
     def rough(x):
         return np.sin(1.0 / x)
 
-    val, err, ok = _ts_run(rough, 0.0, 1.0, 1e-14, 3)
+    val, err, ok = _ts_run(rough, 0.0, 1.0, 1e-14)
     assert not ok
     assert np.isfinite(val) and err > 0.0
 
@@ -77,10 +77,10 @@ def test_rows_match_one_row_runs():
         levels[rows] += 1
         return np.stack([funcs[i](x) for i, x in zip(rows, pts)])
 
-    val, err, ok = ts_rows(f, a, b, tol, max_level=6)
+    val, err, ok = ts_rows(f, a, b, tol)
     assert levels[0] in (2, 3)  # level 0 plus one or two refinements
-    assert levels[1] == 7  # the whole ladder
+    assert levels[1] == 10  # the whole ladder, levels 0 to 9
     assert list(ok) == [True, False, True]
     for i, fn in enumerate(funcs):
-        one = _ts_run(fn, a[i], b[i], tol[i], 6)
+        one = _ts_run(fn, a[i], b[i], tol[i])
         assert (val[i], err[i], bool(ok[i])) == one

@@ -21,7 +21,10 @@ range, as the same fraction, is wider than the bound, unless every run of the
 change reads better than every run of the parent.  A --claim
 workload:metric:factor also records whether the change's median beats the
 parent's by that factor, wins 9 of 10 pairs or more, and differs from the
-parent's median by more than the parent's interquartile range.
+parent's median by more than the parent's interquartile range.  The output
+also records `src_lines`: the lines that the working tree adds and removes
+under src/ against --base (`git diff --numstat`, so untracked files are not
+counted), and their net.
 """
 
 from __future__ import annotations
@@ -60,6 +63,20 @@ def _checkouts(scratch: Path, base: str) -> dict:
             (change / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, change / name)
     return {"parent": parent, "change": change}
+
+
+def _src_lines(base: str) -> dict:
+    """{added, removed, net}: lines under src/ in the working tree against base."""
+    out = subprocess.run(
+        ["git", "-C", str(ROOT), "diff", "--numstat", base, "--", "src/"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    added = removed = 0
+    for line in out.splitlines():
+        a, r, _ = line.split("\t", 2)
+        if a != "-":  # a binary file has no line counts
+            added, removed = added + int(a), removed + int(r)
+    return {"added": added, "removed": removed, "net": added - removed}
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -153,6 +170,7 @@ def main(argv=None) -> int:
                   "parent first), inclusive quartiles; then one --trace 1 run per side",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": platform.processor()},
+        "src_lines": _src_lines(args.base),
         "end_to_end": {}, "traced": {}, "claims": {},
     }
     for workload in args.workloads:
