@@ -250,9 +250,10 @@ def _fd_derivative(fn, h: float = 1e-4) -> complex:
     return (4.0 * d2 - d1) / 3.0
 
 
-def mahler_w2_routes(k: float) -> dict:
+def _w2_routes(k: float) -> tuple:
     """The r = 2 Mahler measure by three independent routes: the 3F2 closed
-    form, the double-integral form, and d/ds of the moment function at 0.
+    form, the double-integral form, and d/ds of the moment function at 0;
+    returns (routes, error of the closed form).
 
     The double integral's inner coordinate is elementary:
     int_0^1 dx1 / sqrt(x1 (1 - a x1)) = 2 arcsin(sqrt a) / sqrt a with
@@ -265,9 +266,10 @@ def mahler_w2_routes(k: float) -> dict:
     if k >= 4.0:
         raise DomainError("requires |k| < 4")
     if k == 0.0:
-        return {"series": 0.0, "integral": 0.0, "derivative": 0.0}
+        return {"series": 0.0, "integral": 0.0, "derivative": 0.0}, 0.0
     z = k * k / 16.0
-    series = k / 4.0 * pfq(SeriesSpec((0.5, 0.5, 0.5), (1.0, 1.5), z)).value.real
+    f32 = pfq(SeriesSpec((0.5, 0.5, 0.5), (1.0, 1.5), z))
+    series = k / 4.0 * f32.value.real
     sqrt_z = k / 4.0
 
     def integrand(theta: np.ndarray) -> np.ndarray:
@@ -282,20 +284,28 @@ def mahler_w2_routes(k: float) -> dict:
     # Four scalar calls: a lane call over the four offsets was no faster here
     # (its two 3F2 run ~30 terms, where pfq's Python loop is the cheaper).
     deriv = _fd_derivative(lambda hs: [w2(k, h).value for h in hs]).real
-    return {"series": series, "integral": integral, "derivative": deriv}
+    return {"series": series, "integral": integral, "derivative": deriv}, k / 4.0 * f32.abs_err
+
+
+def mahler_w2_routes(k: float) -> dict:
+    """The three routes of ``_w2_routes`` by name, the closed form first."""
+    return _w2_routes(k)[0]
+
+
+def _with_spread(routes: dict, own_err: float) -> EvalResult:
+    """The first route, with the routes' spread plus its own error."""
+    vals = list(routes.values())
+    return EvalResult(complex(vals[0]), max(vals) - min(vals) + own_err, Method.CLOSED_FORM)
 
 
 def mahler_w2(k: float) -> EvalResult:
-    routes = mahler_w2_routes(k)
-    vals = list(routes.values())
-    spread = max(vals) - min(vals)
-    return EvalResult(complex(routes["series"]), max(spread, 1e-13), Method.CLOSED_FORM)
+    return _with_spread(*_w2_routes(k))
 
 
-def mahler_w3_routes(k: float) -> dict:
+def _w3_routes(k: float) -> tuple:
     """The r = 3 Mahler measure: Meijer-G closed form, triple-integral form
     (inner coordinate reduced to a complete elliptic integral), and d/ds of
-    the moment function at 0.
+    the moment function at 0; returns (routes, error of the closed form).
 
     The triple integral runs in x3 = u^2 and x2 = sin^2 theta, which absorb
     the weights 1/sqrt(x3) and 1/sqrt(x2 (1 - x2)) and leave
@@ -311,8 +321,8 @@ def mahler_w3_routes(k: float) -> dict:
     k = abs(float(k))
     if not 0.0 < k < 8.0:
         raise DomainError("requires 0 < |k| < 8")
-    g = meijer_mb(w3_g_spec(0.0, k)).value.real
-    closed = g / (2.0 * math.pi**2.5)
+    g = meijer_mb(w3_g_spec(0.0, k))
+    closed = g.value.real / (2.0 * math.pi**2.5)
     c64 = k * k / 64.0
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -323,14 +333,16 @@ def mahler_w3_routes(k: float) -> dict:
         raise ConvergenceError("mahler_w3_routes: the integral missed 1e-11")
     integral = k / (4.0 * math.pi**2) * v.real
     deriv = _fd_derivative(lambda hs: w3(k, hs).value).real
-    return {"meijer": closed, "integral": integral, "derivative": deriv}
+    return {"meijer": closed, "integral": integral, "derivative": deriv}, g.abs_err / (2.0 * math.pi**2.5)
+
+
+def mahler_w3_routes(k: float) -> dict:
+    """The three routes of ``_w3_routes`` by name, the closed form first."""
+    return _w3_routes(k)[0]
 
 
 def mahler_w3(k: float) -> EvalResult:
-    routes = mahler_w3_routes(k)
-    vals = list(routes.values())
-    spread = max(vals) - min(vals)
-    return EvalResult(complex(routes["meijer"]), max(spread, 1e-12), Method.CLOSED_FORM)
+    return _with_spread(*_w3_routes(k))
 
 
 def w1_rational_decomposition(n: int) -> tuple:

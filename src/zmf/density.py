@@ -22,8 +22,8 @@ from scipy.special import ellipk, ellipkm1, hyp2f1
 
 from .errors import ConvergenceError, DomainError, EdgeSingularityError
 from .gamma import log_gamma
-from .types import EvalResult, Method
-from .quadutil import _ts_run, ts_rows
+from .types import ROUNDING, EvalResult, Method
+from .quadutil import ts_rows
 
 _TWO_PI = 2.0 * math.pi
 _EDGE_TOL = 1e-14
@@ -60,29 +60,18 @@ def _g_closed(r: int, y: np.ndarray, om: np.ndarray) -> np.ndarray:
     return out
 
 
-def _g_closed_arr(r: int, y: np.ndarray) -> np.ndarray:
-    """Closed-form G_r on arrays, r <= 3; zero outside (0, 1]."""
-    if r not in (1, 2, 3):
-        raise DomainError("closed-form G_r only for r <= 3")
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    inside = (y > 0.0) & (y <= 1.0)
-    out[inside] = _g_closed(r, y[inside], 1.0 - y[inside])
-    return out
-
-
 def _g_recursion_impl(r: int, y: np.ndarray, om: np.ndarray, tol: float, base: int):
     """G_r on arrays y with om = 1 - y exact, by the integral recursion
     G_r(y) = (sqrt y / 2 pi) int_0^1 G_{r-1}(y v) dv / sqrt((1 - v)(1 - y v)),
     with the closed forms at and below r = `base`; returns arrays
     (value, error, converged).
 
-    (0, 1) is split at 1/2 and the upper half is integrated in u = 1 - v:
-    there the radicand is u ((1 - y) + y u) and the inner argument y (1 - u)
-    has the exact distance (1 - y) + y u to the divergence at 1, so every
-    singular point sits at the left end a = 0 of a piece.  Both halves of
-    every y are rows of one ladder, and the inner G_{r-1} of all nodes of a
-    level is one call.  G_1(y v) is formed as 1 / (2 pi sqrt(y) sqrt(v)), so
+    (0, 1) is one ladder row per y, read at v = x and at its exact distance
+    1 - v = rest (``quadutil``): the radicand is (1 - v) ((1 - y) + y (1 - v))
+    and the inner argument y v has the exact distance om + y (1 - v) to the
+    divergence at 1, so both singular ends are resolved.  The rows of all y
+    run through one ladder, and the inner G_{r-1} of all nodes of a level is
+    one call.  G_1(y v) is formed as 1 / (2 pi sqrt(y) sqrt(v)), so
     y v never underflows.  The inner values' errors, unconverged rows
     included, enter through their largest value E per y: they move G_r(y) by
     at most (E / 2 pi) int_0^1 sqrt(y) dv / sqrt((1 - v)(1 - y v))
@@ -94,30 +83,24 @@ def _g_recursion_impl(r: int, y: np.ndarray, om: np.ndarray, tol: float, base: i
     sy = np.sqrt(y)
     inner_err = np.zeros(n)
 
-    def f(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        i = rows % n
-        up = (rows >= n)[:, None]
-        yy = y[i, None]
-        om_in = np.where(up, om[i, None] + yy * x, 1.0 - yy * x)
+    def f(rows: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+        om_in = om[rows, None] + y[rows, None] * u
         if r == 2:
-            g = 1.0 / (_TWO_PI * np.where(up, np.sqrt(yy * (1.0 - x)), sy[i, None] * np.sqrt(x)))
+            g = 1.0 / (_TWO_PI * sy[rows, None] * np.sqrt(v))
         else:
-            y_in = np.where(up, yy * (1.0 - x), yy * x)
-            g, e, _ = _g_recursion_impl(r - 1, y_in.ravel(), om_in.ravel(), tol / 2.0, base)
-            g = g.reshape(x.shape)
+            g, e, _ = _g_recursion_impl(r - 1, (y[rows, None] * v).ravel(), om_in.ravel(), tol / 2.0, base)
+            g = g.reshape(v.shape)
             if r - 1 > base:
-                np.maximum.at(inner_err, i, e.reshape(x.shape).max(axis=1))
+                np.maximum.at(inner_err, rows, e.reshape(v.shape).max(axis=1))
         # Two roots, not one: u * om_in underflows where both are tiny.
-        return g / (np.sqrt(np.where(up, x, 1.0 - x)) * np.sqrt(om_in))
+        return g / (np.sqrt(u) * np.sqrt(om_in))
 
-    val, err, ok = ts_rows(f, np.zeros(2 * n), 0.5, tol / 2.0)
-    scale = sy / _TWO_PI
+    val, err, ok = ts_rows(f, np.zeros(n), 1.0, tol)
+    g = sy / _TWO_PI * val
     spread = (2.0 * np.log1p(sy) - np.log(om)) / _TWO_PI
-    return (
-        scale * (val[:n] + val[n:]),
-        scale * (err[:n] + err[n:]) + inner_err * spread,
-        ok[:n] & ok[n:],
-    )
+    # A row whose last two levels agree to the bit reports the ladder's
+    # floor, 1e-16 |value|, below the rounding of its sum and of the scale.
+    return g, sy / _TWO_PI * err + inner_err * spread + ROUNDING * np.abs(g), ok
 
 
 def g_recursion(r: int, y: float, tol: float = 1e-10) -> EvalResult:
@@ -273,11 +256,10 @@ def moment_quadrature(r: int, v: int, tol: float = 1e-12) -> EvalResult:
     """Two-sided integer moment int x^v p_hat_r(x) dx by direct quadrature.
 
     Substituting y = 1 - x^2/4^r turns the moment into
-    2^r 4^(rn) int_0^1 (1-y)^(n-1/2) G_r(y) dy with v = 2n, which anchors
-    the x = 2^r edge singularity at y = 0 and the x = 0 one at y = 1; the
-    y = 1 end is integrated in u = 1 - y so both singular points sit at the
-    origin of their local variable, where floats still resolve the mass.
-    Raises ConvergenceError when either piece misses tol/2.
+    2^r 4^(rn) int_0^1 (1-y)^(n-1/2) G_r(y) dy with v = 2n, which puts the
+    x = 2^r edge singularity at y = 0 and the x = 0 one at y = 1; one ladder
+    row reads each node's distance 1 - y exactly (``quadutil``).  Raises
+    ConvergenceError when it misses tol.
     """
     if r not in (1, 2, 3):
         raise DomainError("moment_quadrature supports r in {1, 2, 3}")
@@ -287,24 +269,11 @@ def moment_quadrature(r: int, v: int, tol: float = 1e-12) -> EvalResult:
         # Odd moments vanish by the x -> -x symmetry of p_hat_r.
         return EvalResult(0.0 + 0.0j, 0.0, Method.QUADRATURE)
     n = v // 2
-    ex = n - 0.5
-
-    def from_edge(y: np.ndarray) -> np.ndarray:
-        return (1.0 - y) ** ex * _g_closed_arr(r, y)
-
-    def from_zero(u: np.ndarray) -> np.ndarray:
-        return u**ex * _g_closed(r, 1.0 - u, u)
-
-    total = 0.0
-    err = 0.0
-    for f in (from_edge, from_zero):
-        val, e, ok = _ts_run(f, 0.0, 0.5, tol / 2.0)
-        if not ok:
-            raise ConvergenceError(f"moment_quadrature missed tol {tol:.1e}")
-        total += val.real
-        err += e
+    val, err, ok = ts_rows(lambda rows, y, om: om ** (n - 0.5) * _g_closed(r, y, om), 0.0, 1.0, tol)
+    if not ok[0]:
+        raise ConvergenceError(f"moment_quadrature missed tol {tol:.1e}")
     scale = 2.0**r * 4.0 ** (r * n)
-    return EvalResult(complex(scale * total), scale * err, Method.QUADRATURE)
+    return EvalResult(complex(scale * val[0].real), scale * err[0], Method.QUADRATURE)
 
 
 def mellin_H(r: int, s: complex) -> complex:

@@ -156,12 +156,6 @@ def elliptic_2k(c: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return kk
 
 
-def _halves(up: np.ndarray, t: np.ndarray) -> tuple:
-    """(x, 1 - x) at the local node t of the lower half of (0, 1), x = t, or
-    of the upper half, 1 - x = t, so the distance to 1 is exact there."""
-    return np.where(up, 1.0 - t, t), np.where(up, t, 1.0 - t)
-
-
 def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResult:
     """The W_3 G-function instance via its triple-integral representation.
 
@@ -169,10 +163,12 @@ def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResul
     int_0^1 dx1 / sqrt(x1 (1-x1) (1 - m x1)) = 2 K(m) with parameter
     m = 1 - (k^2/64) x2 x3, so only a 2-d singular integral remains, with
     weights (1 - x2)^(s/2) / sqrt(x2) and (1 - x3)^((s-1)/2) / sqrt(x3).
-    Both coordinates are split at 1/2 and each upper half is integrated in
-    its distance 1 - x, so every singular end sits at the origin of a half.
-    The x2 halves for all outer x3 nodes of a level run as rows of one
-    ladder.  Raises ConvergenceError when a row misses its tolerance.
+    Each coordinate is one ladder row over (0, 1) that reads the exact
+    distance 1 - x = rest at each node (``quadutil``), so both singular ends
+    are resolved.  The x2 rows for all outer x3 nodes of a level run through
+    one ladder.  The inner rows' largest error E moves the outer integral by
+    at most E int_0^1 |w3| dx3 = E B(1/2, (Re s + 1)/2).  Raises
+    ConvergenceError when a row misses its tolerance.
     """
     s = complex(s)
     k = float(k)
@@ -181,34 +177,32 @@ def meijer_triple_integral(s: complex, k: float, tol: float = 1e-9) -> EvalResul
     if not 0.0 < abs(k) < 8.0:
         raise DomainError("requires 0 < |k| < 8")
     c64 = k * k / 64.0
+    inner_err = [0.0]  # largest error of an inner row
 
-    def outer(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        x3, om3 = (z.ravel() for z in _halves((rows == 1)[:, None], t))
-        sq3 = np.sqrt(x3)
-        m = len(x3)
+    def outer(rows: np.ndarray, x3: np.ndarray, om3: np.ndarray) -> np.ndarray:
+        sq3 = np.sqrt(x3.ravel())
 
-        def inner(irows: np.ndarray, t2: np.ndarray) -> np.ndarray:
-            x2, om2 = _halves((irows >= m)[:, None], t2)
+        def inner(irows: np.ndarray, x2: np.ndarray, om2: np.ndarray) -> np.ndarray:
             sq2 = np.sqrt(x2)
             w2 = np.exp(0.5 * s * np.log(om2)) / sq2
-            return w2 * elliptic_2k(c64, sq2, sq3[irows % m, None])
+            return w2 * elliptic_2k(c64, sq2, sq3[irows, None])
 
-        v, _, ok = ts_rows(inner, np.zeros(2 * m), 0.5, tol / 20.0)
+        v, e, ok = ts_rows(inner, np.zeros(len(sq3)), 1.0, tol / 20.0)
         if not ok.all():
             raise ConvergenceError("meijer_triple_integral: an inner integral missed tol")
-        w3 = np.exp(0.5 * (s - 1.0) * np.log(om3)) / sq3
-        return (w3 * (v[:m] + v[m:])).reshape(t.shape)
+        inner_err[0] = max(inner_err[0], float(np.max(e)))
+        w3 = np.exp(0.5 * (s - 1.0) * np.log(om3)) / np.sqrt(x3)
+        return w3 * v.reshape(x3.shape)
 
-    vals, errs, ok = ts_rows(outer, np.zeros(2), 0.5, tol / 2.0)
-    if not ok.all():
+    vals, errs, ok = ts_rows(outer, 0.0, 1.0, tol)
+    if not ok[0]:
         raise ConvergenceError("meijer_triple_integral: the outer integral missed tol")
-    val = complex(np.sum(vals))
-    # Inner integrals carry relative error ~tol/10 each; the outer successive
-    # difference sees them as integrand noise, so fold them in proportionally.
-    err = float(np.sum(errs)) + 0.1 * tol * (1.0 + abs(val))
+    a = 0.5 * (s.real + 1.0)
+    mass = math.exp(math.lgamma(0.5) + math.lgamma(a) - math.lgamma(0.5 + a))
+    err = float(errs[0]) + inner_err[0] * mass
     pref = (
         math.sqrt(math.pi)
         * cmath.exp((1.0 + s) * math.log(abs(k)))
         / (cmath.exp(log_gamma(1.0 + s)) * cmath.exp((3.0 + 2.0 * s) * math.log(2.0)))
     )
-    return EvalResult(pref * val, abs(pref) * err, Method.QUADRATURE)
+    return EvalResult(pref * complex(vals[0]), abs(pref) * err, Method.QUADRATURE)

@@ -6,9 +6,12 @@ integrals: with T_1(k;s) = (1/pi) int_0^pi |k + 2 cos t|^s dt,
 
     T_r(k;s) = (2/pi) int_0^{pi/2} |2 cos t|^s T_{r-1}(k / (2 cos t); s) dt,
 
-one row-batched recursion at every depth (``_t_rows``), with each level's
-singular points anchored at the origin of a local variable whose distance
-is exact.  Nothing here touches the hypergeometric closed forms.
+one row-batched recursion at every depth (``_t_rows``).  Each segment
+between singular points is one ladder row, and each node reads its exact
+distance to the nearer end: at T_1 every singular point sits at the origin
+of a piece, and above it and in the density integral the distance to a
+right end comes from the quadrature core (``quadutil``).  Nothing here
+touches the hypergeometric closed forms.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def _t1_rows(delta: np.ndarray, s: complex, tol: np.ndarray):
     row, a, b, shift, sign = _t1_jobs(delta)
     plain = sign == 0.0
 
-    def f(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def f(rows: np.ndarray, u: np.ndarray, _rest: np.ndarray) -> np.ndarray:
         kind = plain[rows]
         if kind.all() or not kind.any():
             return _abs_pow(_t1_base(shift[rows, None], sign[rows, None], u), s)
@@ -125,33 +128,22 @@ def _t1(k: float, s: complex, tol: float):
     return v[0], e[0]
 
 
-def _anchored_halves(lo: float, hi: float, pts: list) -> list:
-    """Halve each segment of [lo, hi] between consecutive critical points and
-    anchor each half at its critical end: entries (anchor, direction, length)
-    parameterize t = anchor + direction * u."""
-    segs = split_points(lo, hi, pts)
-    jobs = []
-    for a, b in zip(segs[:-1], segs[1:]):
-        mid = 0.5 * (a + b)
-        jobs.append((a, 1.0, mid - a))
-        jobs.append((b, -1.0, b - mid))
-    return jobs
-
-
 def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
     """T_r(k_i; s) to tolerance tol_i for every row, given the signed
     distance delta_i = |k_i| - 2^r; returns arrays (value, error).
 
     At r >= 2 the folded outer integral has critical angles
     theta = acos(min(k/2^r, 1)), where k/(2cos t) crosses the inner edge
-    2^(r-1), and pi/2, where the weight vanishes.  The halves of
-    [0, theta] and [theta, pi/2] are anchored at 0, theta, theta and pi/2
-    (halves of length 0 are dropped).  At t = t0 + x, with c0 = cos t0
-    exact (1, min(k/2^r, 1) or 0) and p = 2 sin(t0 + x/2) sin(x/2),
-    cos t = c0 - p and k - 2^r cos t = (k - 2^r c0) + 2^r p, where
-    k - 2^r c0 is exactly delta, max(delta, 0) or k: both are exact where
-    they vanish.  All halves of all rows are rows of one level ladder, and
-    each level's inner T_(r-1) at all nodes is one recursive call.
+    2^(r-1), and pi/2, where the weight vanishes.  The segments [0, theta]
+    and [theta, pi/2] (a segment of length 0 is dropped) are one ladder row
+    each, and every node is taken from its nearer end t0: at distance x
+    from the left end, or at x = -rest from the right one.  At t = t0 + x,
+    with c0 = cos t0 exact (1, min(k/2^r, 1) or 0) and
+    p = 2 sin(t0 + x/2) sin(x/2), cos t = c0 - p and
+    k - 2^r cos t = (k - 2^r c0) + 2^r p, where k - 2^r c0 is exactly
+    delta, max(delta, 0) or k: both are exact where they vanish.  All
+    segments of all rows are rows of one level ladder, and each level's
+    inner T_(r-1) at all nodes is one recursive call.
     """
     if r == 1:
         return _t1_rows(delta, s, tol)
@@ -159,18 +151,19 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
     k = edge + delta
     ctheta = np.minimum(k / edge, 1.0)
     theta = np.arccos(ctheta)
-    mid = 0.5 * (theta + 0.5 * math.pi)
     n = len(delta)
-    # Halves slot by slot, as in _t1_jobs, so np.add.at sums each row's
-    # halves in this order.
-    row = np.tile(np.arange(n), 4)
-    t0 = np.concatenate([np.zeros(n), theta, theta, np.full(n, 0.5 * math.pi)])
-    c0 = np.concatenate([np.ones(n), ctheta, ctheta, np.zeros(n)])
-    num0 = np.concatenate([delta, np.maximum(delta, 0.0), np.maximum(delta, 0.0), k])
-    dirn = np.repeat([1.0, -1.0, 1.0, -1.0], n)
-    length = np.concatenate([0.5 * theta, 0.5 * theta, mid - theta, 0.5 * math.pi - mid])
+    # (t0, c0, k - 2^r c0) at the ends 0, theta and pi/2.
+    at_0 = (np.zeros(n), np.ones(n), delta)
+    at_theta = (theta, ctheta, np.maximum(delta, 0.0))
+    at_pi2 = (np.full(n, 0.5 * math.pi), np.zeros(n), k)
+    # Segments slot by slot, as in _t1_jobs, so np.add.at sums each row's
+    # segments in this order.
+    row = np.tile(np.arange(n), 2)
+    lo_end = np.concatenate([at_0, at_theta], axis=1)
+    hi_end = np.concatenate([at_theta, at_pi2], axis=1)
+    length = hi_end[0] - lo_end[0]
     keep = length > 0.0
-    row, t0, c0, num0, dirn, length = (col[keep] for col in (row, t0, c0, num0, dirn, length))
+    row, lo_end, hi_end, length = row[keep], lo_end[:, keep], hi_end[:, keep], length[keep]
     kh, tolh = k[row], tol[row]
 
     # |2cos t|^s T_(r-1)(k/|2cos t|) -> |k|^s as cos t -> 0; below this
@@ -183,10 +176,12 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
     k_pow_s = _abs_pow(kh, s)
     inner_err = np.zeros(n)
 
-    def f(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        x = dirn[rows, None] * u
-        p = 2.0 * np.sin(t0[rows, None] + 0.5 * x) * np.sin(0.5 * x)
-        absc = 2.0 * (c0[rows, None] - p)
+    def f(rows: np.ndarray, u: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        left = u <= rest
+        x = np.where(left, u, -rest)
+        t0, c0, num0 = np.where(left, lo_end[:, rows, None], hi_end[:, rows, None])
+        p = 2.0 * np.sin(t0 + 0.5 * x) * np.sin(0.5 * x)
+        absc = 2.0 * (c0 - p)
         near = absc < thr[rows, None]
         half = np.broadcast_to(rows[:, None], u.shape)
         out = np.empty(u.shape, dtype=complex)
@@ -198,7 +193,7 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
         # Floor the inner distance: a node within rounding of the inner edge
         # (true distance > 0, weight ~1e-300) must not evaluate the genuinely
         # divergent edge integral.
-        d_in = (num0[h_in] + edge * p[~near]) / a_in
+        d_in = (num0[~near] + edge * p[~near]) / a_in
         tiny = np.abs(d_in) < 1e-250
         d_in[tiny] = np.where(d_in[tiny] >= 0.0, 1e-250, -1e-250)
         v, e = _t_rows(r - 1, d_in, s, tolh[h_in] / np.maximum(1.0, wgt))
@@ -207,10 +202,10 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
         np.maximum.at(inner_err, row[h_in], wgt * e)
         return out
 
-    # The folded integral is doubled, so each half gets its row's tolerance
-    # over twice the row's half count.
-    halves = np.bincount(row, minlength=n)[row]
-    val, err, _ = ts_rows(f, 0.0, length, tolh / (2.0 * halves), max_level=7)
+    # The folded integral is doubled, so each segment gets its row's
+    # tolerance over twice the row's segment count.
+    segs = np.bincount(row, minlength=n)[row]
+    val, err, _ = ts_rows(f, 0.0, length, tolh / (2.0 * segs), max_level=7)
     total = np.zeros(n, dtype=complex)
     errs = np.zeros(n)
     np.add.at(total, row, val)
@@ -277,11 +272,12 @@ def density_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) ->
     recursion on G_3 at r = 4.
 
     The singular points -2^r, 0, 2^r and -k are exact floats.  Each segment
-    between them is halved and each half anchored at its end
-    (``_anchored_halves``), and the integrand is built from the exact local
-    distance u: |t| = u at 0, 2^r - |t| = u at +-2^r and |k + t| = u at -k.
-    All halves are rows of one level ladder.  Raises ConvergenceError when a
-    half misses its share of the tolerance.
+    between them is one ladder row, and every node is taken from its nearer
+    end: at distance u = x from the left end, or u = rest from the right
+    one.  The integrand is built from that exact
+    distance: |t| = u at 0, 2^r - |t| = u at +-2^r and |k + t| = u at -k.
+    Raises ConvergenceError when a segment misses its share of the
+    tolerance.
     """
     from .density import _p_hat_parts
 
@@ -292,25 +288,25 @@ def density_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) ->
         raise DomainError("requires Re(s) > -1")
     r, k = point.r, abs(float(point.k))
     edge = 2.0**r
-    halves = _anchored_halves(-edge, edge, [0.0, -k])
-    anchor, dirn, length = (np.array(col) for col in zip(*halves))
-    # Along a half, |t| = at0 + grow * u and 2^r - |t| = de0 - grow * u, both
-    # exact at the anchor; k + t = kt0 + dirn * u.
-    grow = np.where(anchor == 0.0, 1.0, np.sign(anchor) * dirn)
-    at0 = np.abs(anchor)
-    de0 = edge - at0
-    kt0 = k + anchor
+    segs = np.array(split_points(-edge, edge, [0.0, -k]))
     inner = [0.0]  # largest error of the r = 4 densities at any node
 
-    def f(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        g = grow[rows, None] * u
-        dens, e, ok = _p_hat_parts(r, (at0[rows, None] + g).ravel(), (de0[rows, None] - g).ravel())
+    def f(rows: np.ndarray, x: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        left = x <= rest
+        u = np.where(left, x, rest)
+        end = np.where(left, segs[rows, None], segs[rows + 1, None])
+        dirn = np.where(left, 1.0, -1.0)
+        # At t = end + dirn * u, |t| = |end| + grow * u and
+        # 2^r - |t| = (2^r - |end|) - grow * u, both exact at the end.
+        g = np.where(end == 0.0, 1.0, np.sign(end) * dirn) * u
+        dens, e, ok = _p_hat_parts(r, (np.abs(end) + g).ravel(), (edge - np.abs(end) - g).ravel())
         if not ok.all():
             raise ConvergenceError("density_quadrature: the G_4 recursion did not converge")
         inner[0] = max(inner[0], float(np.max(e)))
-        return _abs_pow(kt0[rows, None] + dirn[rows, None] * u, s) * dens.reshape(u.shape)
+        return _abs_pow((k + end) + dirn * u, s) * dens.reshape(u.shape)
 
-    val, err, ok = ts_rows(f, np.zeros(len(anchor)), length, cfg.tol / len(anchor))
+    nseg = len(segs) - 1
+    val, err, ok = ts_rows(f, np.zeros(nseg), np.diff(segs), cfg.tol / nseg)
     if not ok.all():
         raise ConvergenceError(f"density_quadrature missed tol {cfg.tol:.1e}")
     # Density errors of at most E move W by E int_{-2^r}^{2^r} |k + t|^Re(s) dt.

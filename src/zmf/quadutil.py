@@ -12,10 +12,19 @@ order, the node's exact distance d to the nearer end of (-1, 1) (1 - |x|
 evaluated in exponential form), its weight w, and whether that end is the
 right one; nodes whose weight or distance underflows are dropped.  The
 tables (12,485 nodes up to level 9) are built once at import, so a level
-costs a gather, the integrand and one weighted sum.  Integrands are called
-at b - c1*d or a + c1*d rather than c2 + c1*x: plain affine mapping rounds
+costs a gather, the integrand and one weighted sum.  Nodes are placed at
+b - c1*d or a + c1*d rather than c2 + c1*x: plain affine mapping rounds
 nodes onto the endpoints once the distance drops below one ulp, which
 evaluates endpoint-singular integrands at the singularity itself.
+
+Distances to both ends.  A ``ts_rows`` integrand is called as
+f(rows, x, rest) with rest = b - x.  Next to b, rest is the table's c1*d,
+exact where the node x itself is rounded (and clipped within one ulp of
+b); elsewhere it is b - x.  Next to a = 0 the node x is its own exact
+distance.  So an integrand singular at both ends of a piece reads the
+distance to a from x and the distance to b from rest, and a caller
+integrates each segment between singular points as one row, taking at each
+node the nearer end.
 
 Row ladder.  ``ts_rows`` integrates many rows (a_i, b_i, tol_i) through the
 same level ladder with one integrand call per level on a 2-D grid of the
@@ -72,7 +81,8 @@ _TABLES = _build_tables()
 
 
 def _weighted_sum(f, a, b, c1, rows: np.ndarray, level: int) -> np.ndarray:
-    """sum_i w_i f(x_i) over one level's nodes, for each row in `rows`."""
+    """sum_i w_i f(x_i, b - x_i) over one level's nodes, for each row in
+    `rows`, with b - x_i exact at the nodes next to b."""
     d, w, right = _TABLES[level]
     step = max(1, _BLOCK // len(d))
     parts = []
@@ -84,7 +94,8 @@ def _weighted_sum(f, a, b, c1, rows: np.ndarray, level: int) -> np.ndarray:
         # map rounds onto the endpoint, which endpoint-singular integrands
         # cannot take.
         pts = np.clip(pts, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        parts.append(np.sum(w * f(blk, pts), axis=1))
+        rest = np.where(right, cd, hi - pts)
+        parts.append(np.sum(w * f(blk, pts, rest), axis=1))
     return np.concatenate(parts)
 
 
@@ -98,9 +109,11 @@ def ts_rows(f, a, b, tol, max_level: int = _MAX_LEVEL):
     """Integrate row i over (a_i, b_i) to tolerance tol_i, all rows through
     one level ladder.
 
-    f(rows, pts) gets the indices of the active rows and a 2-D array of their
-    nodes, one row each, and returns the integrand values in that shape.
-    Returns arrays (value, error_estimate, converged).
+    f(rows, x, rest) gets the indices of the active rows, a 2-D array x of
+    their nodes, one row each, and the same-shape array rest of the nodes'
+    distances b_i - x, exact next to b_i (see the module docstring); it
+    returns the integrand values in that shape.  Returns arrays
+    (value, error_estimate, converged).
     """
     if max_level > _MAX_LEVEL:
         raise ValueError(f"max_level {max_level} exceeds the node tables ({_MAX_LEVEL})")
@@ -134,7 +147,7 @@ def ts_rows(f, a, b, tol, max_level: int = _MAX_LEVEL):
 def _ts_run(f, a: float, b: float, tol: float):
     """One row of the whole level ladder for a 1-D integrand f(x).
     Returns (value, error_estimate, converged)."""
-    val, err, ok = ts_rows(lambda rows, pts: f(pts[0])[None, :], a, b, tol)
+    val, err, ok = ts_rows(lambda rows, x, rest: f(x[0])[None, :], a, b, tol)
     return val[0], err[0], bool(ok[0])
 
 

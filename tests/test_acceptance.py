@@ -20,7 +20,7 @@ from zmf.analysis import (
     mahler_w3_routes,
     w1_rational_decomposition,
 )
-from zmf.density import _g_closed_arr, g_recursion, moment, moment_quadrature
+from zmf.density import _g_closed, g_recursion, moment, moment_quadrature
 from zmf.meijer import meijer_mb, meijer_triple_integral, w3_g_spec
 from zmf.oracle import density_quadrature, torus_quadrature
 from zmf.types import QuadratureConfig, ZmfPoint
@@ -167,7 +167,7 @@ def test_criterion_08_density_recursion():
     ys = np.linspace(0.02, 0.98, 20)
     worst = 0.0
     for r in (2, 3):
-        closed = _g_closed_arr(r, ys)
+        closed = _g_closed(r, ys, 1.0 - ys)
         for y, c in zip(ys, closed):
             worst = max(worst, abs(g_recursion(r, float(y)).value.real - c))
     worst_norm = 0.0

@@ -56,18 +56,18 @@ def _g_mp(r: int, y) -> float:
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_recursion_matches_closed_form(r):
-    from zmf.density import _g_closed_arr
+    from zmf.density import _g_closed
 
     ys = np.linspace(0.02, 0.98, 20)
     for y in ys:
-        closed = _g_closed_arr(r, np.array([y]))[0]
+        closed = _g_closed(r, np.array([y]), np.array([1.0 - y]))[0]
         rec = g_recursion(r, float(y)).value.real
         assert rec == pytest.approx(closed, abs=1e-13, rel=1e-13)
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_recursion_error_bar_holds(r):
-    # With the upper half of (0, 1) integrated in 1 - v, G_2 and G_3 are at
+    # With the distance 1 - v read exactly next to v = 1, G_2 and G_3 are at
     # rounding level; forming 1 - v from a node left them 1e-8 off.
     for y in np.linspace(0.02, 0.98, 20):
         got = g_recursion(r, float(y))

@@ -70,8 +70,8 @@ class TestTorus:
                 [1e-10, 1e-8, 1e-10, 1e-9, 1e-10, 1e-12, 1e-10],
                 id="r1",
             ),
-            # Light (two halves), on the edge, and heavy (four halves) near
-            # the edge and near k = 0.
+            # Light (one segment), on the edge, and heavy (two segments)
+            # near the edge and near k = 0.
             pytest.param(2, [0.5, 0.0, -0.01, -3.5], [1e-10, 1e-10, 1e-8, 1e-9], id="r2"),
         ],
     )

@@ -73,9 +73,9 @@ def test_rows_match_one_row_runs():
     tol = np.array([1e-3, 1e-14, 1e-8])
     levels = np.zeros(3, dtype=int)
 
-    def f(rows, pts):
+    def f(rows, x, rest):
         levels[rows] += 1
-        return np.stack([funcs[i](x) for i, x in zip(rows, pts)])
+        return np.stack([funcs[i](xi) for i, xi in zip(rows, x)])
 
     val, err, ok = ts_rows(f, a, b, tol)
     assert levels[0] in (2, 3)  # level 0 plus one or two refinements
@@ -84,3 +84,13 @@ def test_rows_match_one_row_runs():
     for i, fn in enumerate(funcs):
         one = _ts_run(fn, a[i], b[i], tol[i])
         assert (val[i], err[i], bool(ok[i])) == one
+
+
+@pytest.mark.parametrize("a", [0.0, 2.0])
+def test_rows_see_exact_distance_to_right_end(a):
+    # rest = b - x is exact next to b, where x itself is rounded and
+    # clipped: (1 - x)^-0.9 from x gave 9.77, unconverged, on (0, 1).
+    val, err, ok = ts_rows(lambda rows, x, rest: rest**-0.9, a, a + 1.0, 1e-12)
+    assert ok[0]
+    assert val[0] == pytest.approx(10.0, abs=1e-12)
+
