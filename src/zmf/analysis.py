@@ -73,33 +73,27 @@ class BoxCount:
     winding: int
 
 
-def _phase_factor(k: float, t: float) -> float:
-    """arg of the reflection factor X(t) with conj(W(s)) = X(t) W(s) on the
-    line s = -1/2 + it; |X| = 1 there in both regimes."""
-    k = abs(k)
-    s = complex(-0.5, t)
-    if k > 2.0:
+def _phase(k: float, t: float) -> float:
+    """arg X(t) for |k| != 2, continuous in t and 0 at t = 0, where
+    conj W_1(s) = X(t) W_1(s) on the line s = -1/2 + it by the functional
+    equations: X = (k^2 - 4)^(-it) for |k| > 2 and
+    cot(-pi s/2) (4 - k^2)^(-it) for |k| < 2, with
+    arg cot(pi/4 - i pi t/2) = 2 atan(tanh(pi t/2))."""
+    if abs(k) > 2.0:
         return -t * math.log(k * k - 4.0)
-    cot = cmath.cos(-0.5 * math.pi * s) / cmath.sin(-0.5 * math.pi * s)
-    x = cot * cmath.exp(-1j * t * math.log(4.0 - k * k))
-    return cmath.phase(x)
+    return -t * math.log(4.0 - k * k) + 2.0 * math.atan(math.tanh(0.5 * math.pi * t))
 
 
-def _xi(k: float, t: float, phi: float) -> complex:
-    """Phase-normalized W_1 on the line; real for the correct unwrapped phi."""
-    return cmath.exp(0.5j * phi) * w1(k, complex(-0.5, t)).value
+def _xi(k: float, t: float) -> complex:
+    """Phase-normalized W_1 on the line, real by the functional equation."""
+    return cmath.exp(0.5j * _phase(k, t)) * w1(k, complex(-0.5, t)).value
 
 
-def _unwrap_near(phi: float, ref: float) -> float:
-    two_pi = 2.0 * math.pi
-    while phi - ref > math.pi:
-        phi -= two_pi
-    while phi - ref < -math.pi:
-        phi += two_pi
-    return phi
+# Grid step of the sign search.
+_DT = 0.02
 
 
-def find_zeros_w1(k: float, t_max: float, dt: float = 0.02) -> list:
+def find_zeros_w1(k: float, t_max: float) -> list:
     """All zeros of W_1(k; -1/2 + it) for t in [0, t_max], by sign tracking
     of the real phase-normalized form and bisection to |Delta t| < 1e-12."""
     k = abs(float(k))
@@ -107,13 +101,12 @@ def find_zeros_w1(k: float, t_max: float, dt: float = 0.02) -> list:
         raise DomainError("|k| = 2 boundary case is excluded from the search")
     if t_max > 50.0:
         raise DomainError("t_max capped at 50")
-    ts = np.arange(0.0, t_max + dt / 2, dt)
-    phis = np.unwrap([_phase_factor(k, float(t)) for t in ts])
-    xis = [_xi(k, float(t), float(p)) for t, p in zip(ts, phis)]
+    ts = np.arange(0.0, t_max + _DT / 2, _DT)
+    xis = [_xi(k, float(t)) for t in ts]
     scale = max(abs(x) for x in xis)
     if any(abs(x.imag) > 1e-9 * (1.0 + scale) for x in xis):
         raise ConvergenceError(
-            "phase normalization failed: xi has a residual imaginary part"
+            "W_1 misses its functional equation: xi has a residual imaginary part"
         )
     zeros = []
     for i in range(len(ts) - 1):
@@ -123,15 +116,13 @@ def find_zeros_w1(k: float, t_max: float, dt: float = 0.02) -> list:
             continue
         if fa * fb > 0.0:
             continue
-        phi_ref = float(phis[i])
         while b - a > 1e-12:
             m = 0.5 * (a + b)
-            phi_m = _unwrap_near(_phase_factor(k, m), phi_ref)
-            fm = _xi(k, m, phi_m).real
+            fm = _xi(k, m).real
             if fa * fm <= 0.0:
                 b = m
             else:
-                a, fa, phi_ref = m, fm, phi_m
+                a, fa = m, fm
         t0 = 0.5 * (a + b)
         res = abs(w1(k, complex(-0.5, t0)).value)
         zeros.append(ZeroRecord(k, t0, res, "bisection-on-real-form"))

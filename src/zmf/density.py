@@ -22,7 +22,8 @@ from scipy.special import ellipk, ellipkm1, hyp2f1
 
 from .errors import ConvergenceError, DomainError, EdgeSingularityError
 from .gamma import log_gamma
-from .types import ROUNDING, EvalResult, Method
+from .types import EvalResult, Method
+from .zmf import _w_zero
 from .quadutil import ts_rows
 
 _TWO_PI = 2.0 * math.pi
@@ -98,9 +99,7 @@ def _g_recursion_impl(r: int, y: np.ndarray, om: np.ndarray, tol: float, base: i
     val, err, ok = ts_rows(f, np.zeros(n), 1.0, tol)
     g = sy / _TWO_PI * val
     spread = (2.0 * np.log1p(sy) - np.log(om)) / _TWO_PI
-    # A row whose last two levels agree to the bit reports the ladder's
-    # floor, 1e-16 |value|, below the rounding of its sum and of the scale.
-    return g, sy / _TWO_PI * err + inner_err * spread + ROUNDING * np.abs(g), ok
+    return g, sy / _TWO_PI * err + inner_err * spread, ok
 
 
 def g_recursion(r: int, y: float, tol: float = 1e-10) -> EvalResult:
@@ -233,26 +232,22 @@ def p_r(r: int, k: float, x: float) -> float:
 def moment(r: int, v: complex, two_sided: bool) -> complex:
     """v-th moment of the signed product density, Re(v) > -1.
 
-    One-sided integrates over (0, 2^r); the two-sided variant carries the
-    (1 + e^{i pi v}) phase factor and vanishes at odd integers.
+    One-sided integrates over (0, 2^r): half the absolute moment
+    W_r(0; v) (``zmf._w_zero``, which raises DomainError at Re(v) <= -1).
+    The two-sided variant carries the (1 + e^{i pi v}) phase factor and
+    vanishes at odd integers.
     """
     v = complex(v)
-    if v.real <= -1.0:
-        raise DomainError("moment requires Re(v) > -1")
-    base = cmath.exp(
-        v * math.log(2.0)
-        - math.log(math.pi)
-        + log_gamma(0.5)
-        + log_gamma((v + 1.0) / 2.0)
-        - log_gamma(1.0 + v / 2.0)
-    )
-    one_sided = 0.5 * base**r
+    one_sided = 0.5 * _w_zero(r, v).value
     if not two_sided:
         return one_sided
     return (1.0 + cmath.exp(1j * math.pi * v)) * one_sided
 
 
-def moment_quadrature(r: int, v: int, tol: float = 1e-12) -> EvalResult:
+_MOMENT_TOL = 1e-12
+
+
+def moment_quadrature(r: int, v: int) -> EvalResult:
     """Two-sided integer moment int x^v p_hat_r(x) dx by direct quadrature.
 
     Substituting y = 1 - x^2/4^r turns the moment into
@@ -269,9 +264,9 @@ def moment_quadrature(r: int, v: int, tol: float = 1e-12) -> EvalResult:
         # Odd moments vanish by the x -> -x symmetry of p_hat_r.
         return EvalResult(0.0 + 0.0j, 0.0, Method.QUADRATURE)
     n = v // 2
-    val, err, ok = ts_rows(lambda rows, y, om: om ** (n - 0.5) * _g_closed(r, y, om), 0.0, 1.0, tol)
+    val, err, ok = ts_rows(lambda rows, y, om: om ** (n - 0.5) * _g_closed(r, y, om), 0.0, 1.0, _MOMENT_TOL)
     if not ok[0]:
-        raise ConvergenceError(f"moment_quadrature missed tol {tol:.1e}")
+        raise ConvergenceError(f"moment_quadrature missed tol {_MOMENT_TOL:.1e}")
     scale = 2.0**r * 4.0 ** (r * n)
     return EvalResult(complex(scale * val[0].real), scale * err[0], Method.QUADRATURE)
 

@@ -43,19 +43,19 @@ def _t1_jobs(d0: np.ndarray) -> tuple:
     """Quadrature pieces of T_1 for each signed distance d0 = |k| - 2.
 
     Every (near-)singular point is mapped to the origin of a piece's local
-    variable u.  For d0 >= 0 (u = pi - t) the base |k + 2 cos t| is
-    d0 + 4 sin^2(u/2).  For d0 < 0 the zero t0 = pi - eps, with
-    sin^2(eps/2) = -d0/4 resolved from the exact distance, splits [0, pi]
-    into u = t0 - t on (0, t0) and u = t - t0 on (0, eps), with the product
-    forms 4 sin(eps + u/2) sin(u/2) and 4 sin(eps - u/2) sin(u/2).  A
+    variable u, where the base |k + 2 cos t| is
+    c + 4 sin(phi + sigma u/2) sin(u/2).  For d0 >= 0 (u = pi - t) that is
+    d0 + 4 sin^2(u/2): (c, phi, sigma) = (d0, 0, +1).  For d0 < 0 the zero
+    t0 = pi - eps, with sin^2(eps/2) = -d0/4 resolved from the exact
+    distance, splits [0, pi] into u = t0 - t on (0, t0) and u = t - t0 on
+    (0, eps), with (c, phi, sigma) = (0, eps, +1) and (0, eps, -1).  A
     near-double root (d0 < 0.25 or eps < 0.25) behaves like (d0 + u^2)^s and
     levels off below u ~ sqrt(d0); the first piece is split there so each
     part has a single scale.
 
-    Returns arrays over pieces (row, a, b, shift, sign): shift is d0 or eps
-    and sign is 0, +1 or -1 as in ``_t1_base``.  Pieces come slot by slot
-    (every row's first piece, then the second pieces, then the third), so
-    each row's pieces appear in its summation order.
+    Returns arrays over pieces (row, a, b, c, phi, sigma).  Pieces come slot
+    by slot (every row's first piece, then the second pieces, then the
+    third), so each row's pieces appear in its summation order.
     """
     pos = d0 >= 0.0
     # math.asin: numpy's vectorized arcsin differs from libm in the last bit.
@@ -63,24 +63,16 @@ def _t1_jobs(d0: np.ndarray) -> tuple:
     end = np.where(pos, math.pi, math.pi - eps)
     near = np.where(pos, (0.0 < d0) & (d0 < 0.25), eps < 0.25)
     ustar = np.where(pos, 2.0 * np.sqrt(np.abs(d0)), np.minimum(2.0 * eps, end))
-    shift = np.where(pos, d0, eps)
-    sign = np.where(pos, 0.0, 1.0)
+    c = np.where(pos, d0, 0.0)
+    one = np.ones(len(d0))
     rows = np.arange(len(d0))
     zero = np.zeros(len(d0))
     slots = (
-        (rows, zero, np.where(near, ustar, end), shift, sign),
-        (rows[near], ustar[near], end[near], shift[near], sign[near]),
-        (rows[~pos], zero[~pos], eps[~pos], eps[~pos], -sign[~pos]),
+        (rows, zero, np.where(near, ustar, end), c, eps, one),
+        (rows[near], ustar[near], end[near], c[near], eps[near], one[near]),
+        (rows[~pos], zero[~pos], eps[~pos], c[~pos], eps[~pos], -one[~pos]),
     )
     return tuple(np.concatenate(col) for col in zip(*slots))
-
-
-def _t1_base(shift, sign, u: np.ndarray) -> np.ndarray:
-    """|k + 2 cos t| at local u on pieces of one kind: all sign 0 or none."""
-    sh = np.sin(0.5 * u)
-    if not np.any(sign):
-        return shift + 4.0 * sh**2
-    return 4.0 * np.sin(shift + sign * (0.5 * u)) * sh
 
 
 def _t1_rows(delta: np.ndarray, s: complex, tol: np.ndarray):
@@ -99,17 +91,11 @@ def _t1_rows(delta: np.ndarray, s: complex, tol: np.ndarray):
     variable that mass is resolved down to 1e-300.  The base |k + 2 cos t|
     is likewise evaluated in cancellation-free product or shifted form.
     """
-    row, a, b, shift, sign = _t1_jobs(delta)
-    plain = sign == 0.0
+    row, a, b, c, phi, sigma = _t1_jobs(delta)
 
     def f(rows: np.ndarray, u: np.ndarray, _rest: np.ndarray) -> np.ndarray:
-        kind = plain[rows]
-        if kind.all() or not kind.any():
-            return _abs_pow(_t1_base(shift[rows, None], sign[rows, None], u), s)
-        base = np.empty_like(u)
-        for m in (kind, ~kind):
-            base[m] = _t1_base(shift[rows[m], None], sign[rows[m], None], u[m])
-        return _abs_pow(base, s)
+        sin_phi = np.sin(phi[rows, None] + sigma[rows, None] * (0.5 * u))
+        return _abs_pow(c[rows, None] + 4.0 * sin_phi * np.sin(0.5 * u), s)
 
     # Each piece gets its row's tolerance divided by the row's piece count.
     val, err, _ = ts_rows(f, a, b, tol[row] / np.bincount(row)[row])
@@ -221,6 +207,11 @@ def torus_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> E
     r, k = point.r, abs(float(point.k))
     if s.real <= -1.0 and k < 2.0**r:
         raise DomainError("non-integrable: Re(s) <= -1 with zeros on the torus")
+    if k == 2.0**r and s.real <= -r / 2.0:
+        # k + prod 2 cos t_i has a double zero there, and the ladder would
+        # return a finite value with a small error bar for the divergent
+        # integral.
+        raise DomainError("non-integrable: Re(s) <= -r/2 at |k| = 2^r")
     if r >= 2 and 0.0 < k < 2.0**r and s.real < -0.5:
         # There the inner integral diverges at the regime edge (T_1(k') like
         # |k' - 2|^(s+1/2) at r = 2), which the nest does not resolve: its

@@ -30,7 +30,9 @@ Row ladder.  ``ts_rows`` integrates many rows (a_i, b_i, tol_i) through the
 same level ladder with one integrand call per level on a 2-D grid of the
 rows still active.  Each row stops at its own level by the scalar rule:
 the successive difference falls below tol_i * (1 + |value|) or below
-tol_i.  A row that exhausts max_level keeps its last refinement and is
+tol_i.  Its error is that last difference plus ROUNDING |value|, so a
+row whose last two levels agree to the bit still carries the rounding of
+its sum.  A row that exhausts max_level keeps its last refinement and is
 flagged unconverged.  ``_ts_run`` is the one-row call over the whole
 ladder and gives the same bits as a row of a batch.  Nothing here raises
 on non-convergence: a caller raises on the flag, or (as the torus nest
@@ -42,6 +44,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .types import ROUNDING
 
 # For an endpoint singularity |x-a|^sigma the transformed tail decays like
 # exp(-(1+sigma) pi/2 sinh t), so the window must be wide enough for the
@@ -141,7 +145,7 @@ def ts_rows(f, a, b, tol, max_level: int = _MAX_LEVEL):
         rows = rows[~done]
         if not len(rows):
             break
-    return value, diff + 1e-16 * cabs(value), ok
+    return value, diff + ROUNDING * cabs(value), ok
 
 
 def _ts_run(f, a: float, b: float, tol: float):

@@ -114,9 +114,7 @@ def w1(k: float, s: complex) -> EvalResult:
     s = complex(s)
     check_finite(k, s)
     if k > 2.0:
-        f = pfq(SeriesSpec((-s / 2, (1 - s) / 2), (1.0,), 4.0 / (k * k), -edge_log(1, k)))
-        val = cpow(k, s) * f.value
-        return EvalResult(val, abs(cpow(k, s)) * f.abs_err, Method.CLOSED_FORM)
+        return w_light(1, k, s)
     if k == 2.0:
         if s.real <= -0.5:
             raise DomainError("W_1 at |k| = 2 requires Re(s) > -1/2")
@@ -366,7 +364,13 @@ class DerivativeReport:
     residual_right: float
 
 
-def boundary_derivative_check(r: int, s: float, h: float = 1e-3) -> DerivativeReport:
+# Steps of the finite differences in ``boundary_derivative_check`` and
+# ``k_zero_derivatives``.
+_EDGE_STEP = 1e-3
+_ZERO_STEP = 0.05
+
+
+def boundary_derivative_check(r: int, s: float) -> DerivativeReport:
     """One-sided dW_r/dk at k = 2^r from both regimes vs s * F_{r,s-1}(2^r)."""
     s = float(s)
     if s <= 1.0 - r / 2.0:
@@ -376,8 +380,9 @@ def boundary_derivative_check(r: int, s: float, h: float = 1e-3) -> DerivativeRe
     w0 = w_light(r, edge, s).value
 
     def one_sided(sign: float) -> complex:
-        d1 = (w(r, edge + sign * h, s).value - w0) / (sign * h)
-        d2 = (w(r, edge + sign * h / 2, s).value - w0) / (sign * h / 2)
+        h = sign * _EDGE_STEP
+        d1 = (w(r, edge + h, s).value - w0) / h
+        d2 = (w(r, edge + h / 2, s).value - w0) / (h / 2)
         return 2.0 * d2 - d1
 
     right = one_sided(1.0)
@@ -387,7 +392,7 @@ def boundary_derivative_check(r: int, s: float, h: float = 1e-3) -> DerivativeRe
     )
 
 
-def k_zero_derivatives(r: int, s: float, j: int, h: float = 0.05) -> DerivativeReport:
+def k_zero_derivatives(r: int, s: float, j: int) -> DerivativeReport:
     """j-th right derivative of k -> W_r(k;s) at k = 0 by central differences
     (using evenness in k) against the closed form: 0 for odd j, a Gamma ratio
     for even j."""
@@ -410,8 +415,8 @@ def k_zero_derivatives(r: int, s: float, j: int, h: float = 0.05) -> DerivativeR
             total += (-1.0) ** i * math.comb(j, i) * w(r, x, s).value
         return total / hh**j
 
-    d1 = stencil(h)
-    d2 = stencil(h / 2.0)
+    d1 = stencil(_ZERO_STEP)
+    d2 = stencil(_ZERO_STEP / 2.0)
     fd = (4.0 * d2 - d1) / 3.0
     return DerivativeReport(fd, fd, ref, abs(fd - ref), abs(fd - ref))
 

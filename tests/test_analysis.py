@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import mpmath
 import pytest
 
 from zmf.analysis import (
+    _phase,
     check_beauty,
     check_fe_heavy,
     check_fe_light,
@@ -18,6 +20,7 @@ from zmf.analysis import (
     w1_rational_decomposition,
 )
 from zmf.errors import ContourError, DomainError
+from zmf.zmf import w1
 
 
 class TestFunctionalEquations:
@@ -37,6 +40,24 @@ class TestFunctionalEquations:
 
 
 class TestCriticalLine:
+    @pytest.mark.parametrize("k", [0.5, 1.87, 3.1])
+    def test_phase_is_the_functional_equation_factor(self, k):
+        ts = [0.05 * i for i in range(401)]
+        phis = [_phase(k, t) for t in ts]
+        assert phis[0] == 0.0
+        assert max(abs(b - a) for a, b in zip(phis, phis[1:])) < math.pi
+        for t, phi in zip(ts, phis):
+            s = complex(-0.5, t)
+            if k < 2.0:
+                factor = cmath.cos(-0.5 * math.pi * s) / cmath.sin(-0.5 * math.pi * s)
+                factor *= cmath.exp(-1j * t * math.log(4.0 - k * k))
+            else:
+                factor = cmath.exp(-1j * t * math.log(k * k - 4.0))
+            assert abs(cmath.exp(1j * phi) - factor) < 1e-13
+            # conj W_1 = X W_1 on the line, so e^(i phi/2) W_1 is real.
+            w = w1(k, s)
+            assert abs((cmath.exp(0.5j * phi) * w.value).imag) <= w.abs_err
+
     def test_zeros_k1(self):
         zeros = find_zeros_w1(1.0, 20.0)
         ts = [z.t for z in zeros]

@@ -108,6 +108,13 @@ class TestTorus:
         with pytest.raises(DomainError):
             torus_quadrature(ZmfPoint(1, 1.0, -1.2), CFG)
 
+    @pytest.mark.parametrize("r, s", [(1, -0.5), (1, -0.9 + 1.0j), (2, -1.0)])
+    def test_rejects_nonintegrable_on_the_edge(self, r, s):
+        # |2 + 2 cos t|^s ~ (pi - t)^(2s) is not integrable at s <= -1/2; the
+        # ladder returned 118.8 +- 0.014 at (1, 2, -1/2).
+        with pytest.raises(DomainError):
+            torus_quadrature(ZmfPoint(r, 2.0**r, s), CFG)
+
 
 class TestMonteCarlo:
     def test_reproducible_bit_for_bit(self):

@@ -94,3 +94,15 @@ def test_rows_see_exact_distance_to_right_end(a):
     assert ok[0]
     assert val[0] == pytest.approx(10.0, abs=1e-12)
 
+
+
+def test_error_floor_is_above_one_ulp():
+    # A constant integrand's last two levels agree to the bit, so the error
+    # is the floor alone; the weighted sum still rounds (1 comes out as
+    # 1 - 2^-53), and a floor of 1e-16 |value| sat below that rounding.
+    eps = np.finfo(float).eps
+    b = np.array([1.0, 2.0, 0.7])
+    val, err, ok = ts_rows(lambda rows, x, rest: np.ones_like(x), 0.0, b, 1e-15)
+    assert ok.all()
+    assert (err >= eps * np.abs(val)).all()
+    assert (np.abs(val - b) <= err).all()
