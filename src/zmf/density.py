@@ -74,32 +74,25 @@ def _g_recursion_impl(r: int, y: np.ndarray, om: np.ndarray, tol: float, base: i
     run through one ladder, and the inner G_{r-1} of all nodes of a level is
     one call.  G_1(y v) is formed as 1 / (2 pi sqrt(y) sqrt(v)), so
     y v never underflows.  The inner values' errors, unconverged rows
-    included, enter through their largest value E per y: they move G_r(y) by
-    at most (E / 2 pi) int_0^1 sqrt(y) dv / sqrt((1 - v)(1 - y v))
-    = (E / 2 pi) log((1 + sqrt y)^2 / (1 - y)).
+    included, go to the ladder with their nodes (``quadutil``).
     """
     if r <= base:
         return _g_closed(r, y, om), np.zeros(len(y)), np.ones(len(y), dtype=bool)
     n = len(y)
     sy = np.sqrt(y)
-    inner_err = np.zeros(n)
 
-    def f(rows: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def f(rows: np.ndarray, v: np.ndarray, u: np.ndarray):
         om_in = om[rows, None] + y[rows, None] * u
-        if r == 2:
-            g = 1.0 / (_TWO_PI * sy[rows, None] * np.sqrt(v))
-        else:
-            g, e, _ = _g_recursion_impl(r - 1, (y[rows, None] * v).ravel(), om_in.ravel(), tol / 2.0, base)
-            g = g.reshape(v.shape)
-            if r - 1 > base:
-                np.maximum.at(inner_err, rows, e.reshape(v.shape).max(axis=1))
         # Two roots, not one: u * om_in underflows where both are tiny.
-        return g / (np.sqrt(u) * np.sqrt(om_in))
+        den = np.sqrt(u) * np.sqrt(om_in)
+        if r == 2:
+            return 1.0 / (_TWO_PI * sy[rows, None] * np.sqrt(v)) / den
+        g, e, _ = _g_recursion_impl(r - 1, (y[rows, None] * v).ravel(), om_in.ravel(), tol / 2.0, base)
+        g = g.reshape(v.shape) / den
+        return (g, e.reshape(v.shape) / den) if r - 1 > base else g
 
     val, err, ok = ts_rows(f, np.zeros(n), 1.0, tol)
-    g = sy / _TWO_PI * val
-    spread = (2.0 * np.log1p(sy) - np.log(om)) / _TWO_PI
-    return g, sy / _TWO_PI * err + inner_err * spread, ok
+    return sy / _TWO_PI * val, sy / _TWO_PI * err, ok
 
 
 def g_recursion(r: int, y: float, tol: float = 1e-10) -> EvalResult:

@@ -160,9 +160,8 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
     thr = 1e-7 * kh / edge_in
     alpha = (-s / 2.0) * ((1.0 - s) / 2.0) * 0.5 ** (r - 2)
     k_pow_s = _abs_pow(kh, s)
-    inner_err = np.zeros(n)
 
-    def f(rows: np.ndarray, u: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    def f(rows: np.ndarray, u: np.ndarray, rest: np.ndarray) -> tuple:
         left = u <= rest
         x = np.where(left, u, -rest)
         t0, c0, num0 = np.where(left, lo_end[:, rows, None], hi_end[:, rows, None])
@@ -171,6 +170,7 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
         near = absc < thr[rows, None]
         half = np.broadcast_to(rows[:, None], u.shape)
         out = np.empty(u.shape, dtype=complex)
+        errs = np.zeros(u.shape)
         hn = half[near]
         out[near] = k_pow_s[hn] * (1.0 + alpha * edge_in * edge_in * (absc[near] / kh[hn]) ** 2)
         h_in, a_in = half[~near], absc[~near]
@@ -184,9 +184,8 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
         d_in[tiny] = np.where(d_in[tiny] >= 0.0, 1e-250, -1e-250)
         v, e = _t_rows(r - 1, d_in, s, tolh[h_in] / np.maximum(1.0, wgt))
         out[~near] = pw * v
-        # Inner error enters the outer integrand scaled by |2 cos t|^Re s.
-        np.maximum.at(inner_err, row[h_in], wgt * e)
-        return out
+        errs[~near] = wgt * e
+        return out, errs
 
     # The folded integral is doubled, so each segment gets its row's
     # tolerance over twice the row's segment count.
@@ -196,7 +195,16 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
     errs = np.zeros(n)
     np.add.at(total, row, val)
     np.add.at(errs, row, err)
-    return 2.0 * total / math.pi, 2.0 * errs / math.pi + inner_err
+    return 2.0 * total / math.pi, 2.0 * errs / math.pi
+
+
+def _check_integrable(r: int, k: float, s: complex) -> None:
+    """Raise DomainError where the torus average diverges; both oracles
+    would return a finite value with a finite bar there."""
+    if s.real <= -1.0 and k < 2.0**r:
+        raise DomainError("non-integrable: Re(s) <= -1 with zeros on the torus")
+    if k == 2.0**r and s.real <= -r / 2.0:
+        raise DomainError("non-integrable: Re(s) <= -r/2 at |k| = 2^r")
 
 
 def torus_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> EvalResult:
@@ -205,13 +213,7 @@ def torus_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> E
         raise DomainError("torus_quadrature supports r <= 3 (use monte_carlo beyond)")
     s = complex(point.s)
     r, k = point.r, abs(float(point.k))
-    if s.real <= -1.0 and k < 2.0**r:
-        raise DomainError("non-integrable: Re(s) <= -1 with zeros on the torus")
-    if k == 2.0**r and s.real <= -r / 2.0:
-        # k + prod 2 cos t_i has a double zero there, and the ladder would
-        # return a finite value with a small error bar for the divergent
-        # integral.
-        raise DomainError("non-integrable: Re(s) <= -r/2 at |k| = 2^r")
+    _check_integrable(r, k, s)
     if r >= 2 and 0.0 < k < 2.0**r and s.real < -0.5:
         # There the inner integral diverges at the regime edge (T_1(k') like
         # |k' - 2|^(s+1/2) at r = 2), which the nest does not resolve: its
@@ -236,8 +238,7 @@ def monte_carlo(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> EvalRe
     """Sample mean of |k + prod 2 cos Theta_i|^s with a Philox counter-based
     generator; bit-for-bit reproducible for a given seed and sample count."""
     s = complex(point.s)
-    if s.real <= -1.0 and abs(point.k) < 2.0**point.r:
-        raise DomainError("non-integrable: Re(s) <= -1 with zeros on the torus")
+    _check_integrable(point.r, abs(float(point.k)), s)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     n = cfg.samples
     total = 0.0 + 0.0j
@@ -280,9 +281,8 @@ def density_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) ->
     r, k = point.r, abs(float(point.k))
     edge = 2.0**r
     segs = np.array(split_points(-edge, edge, [0.0, -k]))
-    inner = [0.0]  # largest error of the r = 4 densities at any node
 
-    def f(rows: np.ndarray, x: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    def f(rows: np.ndarray, x: np.ndarray, rest: np.ndarray) -> tuple:
         left = x <= rest
         u = np.where(left, x, rest)
         end = np.where(left, segs[rows, None], segs[rows + 1, None])
@@ -293,15 +293,11 @@ def density_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) ->
         dens, e, ok = _p_hat_parts(r, (np.abs(end) + g).ravel(), (edge - np.abs(end) - g).ravel())
         if not ok.all():
             raise ConvergenceError("density_quadrature: the G_4 recursion did not converge")
-        inner[0] = max(inner[0], float(np.max(e)))
-        return _abs_pow((k + end) + dirn * u, s) * dens.reshape(u.shape)
+        pw = _abs_pow((k + end) + dirn * u, s)
+        return pw * dens.reshape(u.shape), cabs(pw) * e.reshape(u.shape)
 
     nseg = len(segs) - 1
     val, err, ok = ts_rows(f, np.zeros(nseg), np.diff(segs), cfg.tol / nseg)
     if not ok.all():
         raise ConvergenceError(f"density_quadrature missed tol {cfg.tol:.1e}")
-    # Density errors of at most E move W by E int_{-2^r}^{2^r} |k + t|^Re(s) dt.
-    sig = s.real + 1.0
-    mass = (abs(k + edge) ** sig - math.copysign(abs(k - edge) ** sig, k - edge)) / sig
-    err = float(np.sum(err)) + inner[0] * mass
-    return EvalResult(complex(np.sum(val)), err, Method.QUADRATURE)
+    return EvalResult(complex(np.sum(val)), float(np.sum(err)), Method.QUADRATURE)

@@ -32,11 +32,14 @@ rows still active.  Each row stops at its own level by the scalar rule:
 the successive difference falls below tol_i * (1 + |value|) or below
 tol_i.  Its error is that last difference plus ROUNDING |value|, so a
 row whose last two levels agree to the bit still carries the rounding of
-its sum.  A row that exhausts max_level keeps its last refinement and is
-flagged unconverged.  ``_ts_run`` is the one-row call over the whole
-ladder and gives the same bits as a row of a batch.  Nothing here raises
-on non-convergence: a caller raises on the flag, or (as the torus nest
-does) carries an unconverged row's last difference in its error.
+its sum.  An integrand whose values are inner integrals returns (values,
+errors): the value c1 h sum w_i f_i is linear in the f_i, so the row's
+error gains c1 h sum w_i e_i at its last level.  A row that exhausts
+max_level keeps its last refinement and is flagged unconverged.
+``_ts_run`` is the one-row call over the whole ladder and gives the same
+bits as a row of a batch.  Nothing here raises on non-convergence: a
+caller raises on the flag, or (as the torus nest does) carries an
+unconverged row's last difference in its error.
 """
 
 from __future__ import annotations
@@ -84,12 +87,13 @@ def _build_tables() -> tuple:
 _TABLES = _build_tables()
 
 
-def _weighted_sum(f, a, b, c1, rows: np.ndarray, level: int) -> np.ndarray:
+def _weighted_sum(f, a, b, c1, rows: np.ndarray, level: int) -> tuple:
     """sum_i w_i f(x_i, b - x_i) over one level's nodes, for each row in
-    `rows`, with b - x_i exact at the nodes next to b."""
+    `rows`, with b - x_i exact at the nodes next to b; and sum_i w_i e_i
+    where f returns (values, errors), else None."""
     d, w, right = _TABLES[level]
     step = max(1, _BLOCK // len(d))
-    parts = []
+    parts, errs = [], []
     for i in range(0, len(rows), step):
         blk = rows[i:i + step]
         lo, hi, cd = a[blk, None], b[blk, None], c1[blk, None] * d
@@ -99,8 +103,12 @@ def _weighted_sum(f, a, b, c1, rows: np.ndarray, level: int) -> np.ndarray:
         # cannot take.
         pts = np.clip(pts, np.nextafter(lo, hi), np.nextafter(hi, lo))
         rest = np.where(right, cd, hi - pts)
-        parts.append(np.sum(w * f(blk, pts, rest), axis=1))
-    return np.concatenate(parts)
+        out = f(blk, pts, rest)
+        if type(out) is tuple:
+            out, e = out
+            errs.append(np.sum(w * e, axis=1))
+        parts.append(np.sum(w * out, axis=1))
+    return np.concatenate(parts), (np.concatenate(errs) if errs else None)
 
 
 def cabs(z: np.ndarray) -> np.ndarray:
@@ -116,8 +124,8 @@ def ts_rows(f, a, b, tol, max_level: int = _MAX_LEVEL):
     f(rows, x, rest) gets the indices of the active rows, a 2-D array x of
     their nodes, one row each, and the same-shape array rest of the nodes'
     distances b_i - x, exact next to b_i (see the module docstring); it
-    returns the integrand values in that shape.  Returns arrays
-    (value, error_estimate, converged).
+    returns the integrand values in that shape, or (values, errors).
+    Returns arrays (value, error_estimate, converged).
     """
     if max_level > _MAX_LEVEL:
         raise ValueError(f"max_level {max_level} exceeds the node tables ({_MAX_LEVEL})")
@@ -128,13 +136,18 @@ def ts_rows(f, a, b, tol, max_level: int = _MAX_LEVEL):
     c1 = 0.5 * (b - a)
     rows = np.arange(len(a))
     h = 0.5
-    total = _weighted_sum(f, a, b, c1, rows, 0)
+    total, etotal = _weighted_sum(f, a, b, c1, rows, 0)
     value = c1 * h * total
+    inner = 0.0 if etotal is None else c1 * h * etotal
     diff = np.full(len(a), np.inf)
     ok = np.zeros(len(a), dtype=bool)
     for level in range(1, max_level + 1):
         h *= 0.5
-        total[rows] += _weighted_sum(f, a, b, c1, rows, level)
+        part, epart = _weighted_sum(f, a, b, c1, rows, level)
+        total[rows] += part
+        if epart is not None:
+            etotal[rows] += epart
+            inner[rows] = c1[rows] * h * etotal[rows]
         cur = c1[rows] * h * total[rows]
         dif = cabs(cur - value[rows])
         rtol = tol[rows]
@@ -145,7 +158,7 @@ def ts_rows(f, a, b, tol, max_level: int = _MAX_LEVEL):
         rows = rows[~done]
         if not len(rows):
             break
-    return value, diff + ROUNDING * cabs(value), ok
+    return value, diff + ROUNDING * cabs(value) + inner, ok
 
 
 def _ts_run(f, a: float, b: float, tol: float):

@@ -106,3 +106,14 @@ def test_error_floor_is_above_one_ulp():
     assert ok.all()
     assert (err >= eps * np.abs(val)).all()
     assert (np.abs(val - b) <= err).all()
+
+
+def test_inner_errors_carry_their_weights():
+    # An integrand that returns (values, errors) adds c1 h sum w e to its
+    # row's error: e = 1e-6 everywhere on (0, 3) adds 1e-6 times the
+    # integral of 1, on top of the plain row's ladder terms.
+    val, err, ok = ts_rows(lambda rows, x, rest: (np.ones_like(x), np.full(x.shape, 1e-6)), 0.0, 3.0, 1e-10)
+    plain = ts_rows(lambda rows, x, rest: np.ones_like(x), 0.0, 3.0, 1e-10)
+    assert ok[0] and val[0] == plain[0][0]
+    assert err[0] == pytest.approx(1e-6 * val[0] + plain[1][0], rel=1e-12)
+    assert err[0] == pytest.approx(3e-6, rel=1e-9)
