@@ -1,8 +1,9 @@
 """Identity verification and analytic structure of W_1, plus Mahler measures.
 
-Contents: the two functional equations in s, critical-line zero location by a
-phase-normalized real form plus bisection, off-line zero exclusion by the
-argument principle, the Jacobi-function machinery behind the critical-line
+Contents: the two functional equations in s, critical-line zero location by
+the sign of a phase-normalized real form on a grid plus the Illinois method,
+off-line zero exclusion by the argument principle (the box's whole contour
+one lane call of w1), the Jacobi-function machinery behind the critical-line
 proof, the closed-form Mahler measures of k + prod(x_i + 1/x_i) for r = 2, 3
 with their integral and derivative cross-routes, and rational reconstruction
 of W_1(1;n).
@@ -89,13 +90,44 @@ def _xi(k: float, t: float) -> complex:
     return cmath.exp(0.5j * _phase(k, t)) * w1(k, complex(-0.5, t)).value
 
 
-# Grid step of the sign search.
+# Grid step of the sign search, and the bracket width at which a zero is
+# taken as the bracket's midpoint.
 _DT = 0.02
+_T_TOL = 1e-12
+
+
+def _illinois(g, a: float, b: float, ga: float, gb: float) -> float:
+    """A zero of g in [a, b], where ga = g(a) and gb = g(b) differ in sign
+    (or one is 0), as the midpoint of a bracket narrower than _T_TOL.
+
+    Each step evaluates g at the secant point of the bracket, kept _T_TOL/4
+    inside it, and moves there the end whose value has the same sign.  When
+    the same end stays twice, the value kept at it is halved (the Illinois
+    rule, Dowell and Jarratt, BIT 11 (1971)), so both ends close in on the
+    zero; the _T_TOL/4 margin lets the last step cross it."""
+    side, pad = 0, 0.25 * _T_TOL
+    while b - a > _T_TOL:
+        m = min(max((a * gb - b * ga) / (gb - ga), a + pad), b - pad)
+        gm = g(m)
+        if gm == 0.0:
+            return m
+        if (gm < 0.0) == (ga < 0.0):
+            a, ga = m, gm
+            if side == 1:
+                gb *= 0.5
+            side = 1
+        else:
+            b, gb = m, gm
+            if side == -1:
+                ga *= 0.5
+            side = -1
+    return 0.5 * (a + b)
 
 
 def find_zeros_w1(k: float, t_max: float) -> list:
     """All zeros of W_1(k; -1/2 + it) for t in [0, t_max], by sign tracking
-    of the real phase-normalized form and bisection to |Delta t| < 1e-12."""
+    of the real phase-normalized form on a grid, each sign change then
+    narrowed by the Illinois method to |Delta t| < 1e-12."""
     k = abs(float(k))
     if abs(k - 2.0) < 1e-9:
         raise DomainError("|k| = 2 boundary case is excluded from the search")
@@ -110,65 +142,51 @@ def find_zeros_w1(k: float, t_max: float) -> list:
         )
     zeros = []
     for i in range(len(ts) - 1):
-        a, b = float(ts[i]), float(ts[i + 1])
         fa, fb = xis[i].real, xis[i + 1].real
-        if fa == 0.0:
+        if fa == 0.0 or fa * fb > 0.0:
             continue
-        if fa * fb > 0.0:
-            continue
-        while b - a > 1e-12:
-            m = 0.5 * (a + b)
-            fm = _xi(k, m).real
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        t0 = 0.5 * (a + b)
+        t0 = _illinois(lambda t: _xi(k, t).real, float(ts[i]), float(ts[i + 1]), fa, fb)
         res = abs(w1(k, complex(-0.5, t0)).value)
-        zeros.append(ZeroRecord(k, t0, res, "bisection-on-real-form"))
+        zeros.append(ZeroRecord(k, t0, res, "illinois-on-real-form"))
     return zeros
 
 
-def _edge_phase_sum(f, za: complex, zb: complex, n: int = 64, depth: int = 0) -> float:
-    """Total continuous argument change of f along the segment [za, zb]."""
-    zs = za + (zb - za) * np.linspace(0.0, 1.0, n + 1)
-    vals = [f(z) for z in zs]
-    total = 0.0
-    for i in range(n):
-        try:
-            dphi = cmath.phase(vals[i + 1] / vals[i])
-        except ZeroDivisionError as exc:
-            raise ContourError("argument principle: W_1 vanishes on the contour") from exc
-        if abs(dphi) > 0.5 * math.pi:
-            if depth >= 8:
-                raise ConvergenceError(
-                    "argument principle: phase step too large near the contour"
-                )
-            dphi = _edge_phase_sum(f, complex(zs[i]), complex(zs[i + 1]), 16, depth + 1)
-        total += dphi
-    return total
+# Fractions along each edge of the argument-principle box (64 steps), and
+# along a refined step (16 steps, both ends included).
+_EDGE_STEPS = np.arange(64) / 64
+_REFINE_STEPS = np.linspace(0.0, 1.0, 17)
+
+
+def _phase_sum(f, zs: np.ndarray, depth: int = 0) -> float:
+    """Total continuous argument change of f along the polyline through the
+    nodes zs, from one lane call of f; a step over pi/2 is refined as its
+    own lane call over _REFINE_STEPS."""
+    vals = f(zs)
+    if not vals.all():
+        raise ContourError("argument principle: W_1 vanishes on the contour")
+    dphi = np.angle(vals[1:] / vals[:-1])
+    for i in np.flatnonzero(np.abs(dphi) > 0.5 * math.pi):
+        if depth >= 8:
+            raise ConvergenceError("argument principle: phase step too large near the contour")
+        dphi[i] = _phase_sum(f, zs[i] + (zs[i + 1] - zs[i]) * _REFINE_STEPS, depth + 1)
+    return float(dphi.sum())
 
 
 def count_zeros_box(k: float, box: tuple) -> BoxCount:
     """Winding number of W_1(k; .) around the rectangle box = (re_lo, re_hi,
-    im_lo, im_hi), traversed counterclockwise."""
+    im_lo, im_hi), traversed counterclockwise, from one lane call of w1 over
+    the _EDGE_STEPS of each of its four edges."""
     re_lo, re_hi, im_lo, im_hi = map(float, box)
     k = abs(float(k))
-
-    def f(z: complex) -> complex:
-        return w1(k, z).value
-
-    corners = [
+    corners = np.array([
         complex(re_lo, im_lo),
         complex(re_hi, im_lo),
         complex(re_hi, im_hi),
         complex(re_lo, im_hi),
         complex(re_lo, im_lo),
-    ]
-    total = 0.0
-    for za, zb in zip(corners[:-1], corners[1:]):
-        total += _edge_phase_sum(f, za, zb)
-    wind = total / (2.0 * math.pi)
+    ])
+    edges = corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * _EDGE_STEPS
+    wind = _phase_sum(lambda z: w1(k, z).value, np.append(edges.ravel(), corners[-1])) / (2.0 * math.pi)
     if abs(wind - round(wind)) > 0.1:
         raise ConvergenceError(
             f"argument principle: winding {wind} is not close to an integer"

@@ -608,7 +608,7 @@ def pfq_shift_derivative(spec: SeriesSpec) -> tuple:
 
 def family_spec(r: int, s: complex, w: complex, log_w: complex | None = None) -> SeriesSpec:
     """The light-regime series (-s/2, (1-s)/2, 1/2...; 1...; w) of order r+1."""
-    upper = (-s / 2.0, (1.0 - complex(s)) / 2.0) + ((0.5 + 0.0j),) * (r - 1)
+    upper = (-s / 2.0, (1.0 - s) / 2.0) + ((0.5 + 0.0j),) * (r - 1)
     return SeriesSpec(upper, ((1.0 + 0.0j),) * r, w, log_w)
 
 

@@ -39,7 +39,9 @@ max_level keeps its last refinement and is flagged unconverged.
 ``_ts_run`` is the one-row call over the whole ladder and gives the same
 bits as a row of a batch.  Nothing here raises on non-convergence: a
 caller raises on the flag, or (as the torus nest does) carries an
-unconverged row's last difference in its error.
+unconverged row's last difference in its error.  A level whose sum (or
+error sum) is not finite raises ConvergenceError at once: no later level
+can repair it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import math
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .types import ROUNDING
 
 # For an endpoint singularity |x-a|^sigma the transformed tail decays like
@@ -108,7 +111,10 @@ def _weighted_sum(f, a, b, c1, rows: np.ndarray, level: int) -> tuple:
             out, e = out
             errs.append(np.sum(w * e, axis=1))
         parts.append(np.sum(w * out, axis=1))
-    return np.concatenate(parts), (np.concatenate(errs) if errs else None)
+    total, etotal = np.concatenate(parts), (np.concatenate(errs) if errs else None)
+    if not (np.isfinite(total).all() and (etotal is None or np.isfinite(etotal).all())):
+        raise ConvergenceError(f"tanh-sinh: the level-{level} sum is not finite")
+    return total, etotal
 
 
 def cabs(z: np.ndarray) -> np.ndarray:

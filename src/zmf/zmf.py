@@ -21,11 +21,16 @@ Meijer-G formula for W_2 at odd n, checks that circle.  The Meijer-G blocks
 of w3 and w2_odd are summed as their right-pole residue series
 (meijer.meijer_mb).
 
-Lanes: w2 and w3 take s as a scalar or as a 1-d array of lanes (kept off
-the circle's windows); one body serves both, and with an array each pFq
-is summed once over all lanes (hyper).  The circle evaluates its 9 upper
-nodes as one such call (at r = 4, h_rs node by node), and so does the W_3
-Mahler derivative stencil (analysis) with its four offsets.
+Lanes: w1, w_light, w2 and w3 take s as a scalar or as a 1-d array of
+lanes (w2 and w3 kept off the circle's windows); one body serves both, and
+with an array each pFq is summed once over all lanes and each Gamma
+prefactor taken over all lanes (hyper).  W_1's domain is all s: a w1 lane
+next to an even negative integer takes the scalar reflection branch (0 at
+the integer itself), and one next to an odd negative integer raises
+PoleError, as the scalar call does.  The circle evaluates its 9 upper
+nodes as one such call (at r = 4, h_rs node by node), and so do the W_3
+Mahler derivative stencil (analysis) with its four offsets and the
+argument-principle box (analysis) with its 257 contour points.
 
 The heavy-regime formulas all analytically continue the same hypergeometric
 family past its z = 1 singularity; the continuation half-plane is fixed once
@@ -79,7 +84,7 @@ def _odd_center(s: complex):
     return n if n >= 1 and abs(s - n) <= _ODD_RADIUS / 8 else None
 
 
-def _lane_s(k: float, s) -> tuple:
+def _lanes(k: float, s) -> tuple:
     """(|k|, s, the math module for s): s a complex scalar (cmath) or a 1-d
     complex array of lanes (numpy)."""
     k = abs(float(k))
@@ -90,7 +95,18 @@ def _lane_s(k: float, s) -> tuple:
         if s.ndim != 1:
             raise DomainError("s must be a scalar or a 1-d array of lanes")
     check_finite(k, s)
-    if (s.real if xp is cmath else s.real.min()) <= -1.0:
+    return k, s, xp
+
+
+def _re_min(s) -> float:
+    """Re s, or its least lane."""
+    return s.real.min() if type(s) is np.ndarray else s.real
+
+
+def _lane_s(k: float, s) -> tuple:
+    """_lanes for a formula whose domain is Re s > -1."""
+    k, s, xp = _lanes(k, s)
+    if _re_min(s) <= -1.0:
         raise DomainError("requires Re(s) > -1")
     return k, s, xp
 
@@ -108,22 +124,39 @@ def _odd_window(k: float, s, xp):
     return None
 
 
-def w1(k: float, s: complex) -> EvalResult:
-    """W_1(k;s) by the three-case closed form (|k| vs 2)."""
-    k = abs(float(k))
-    s = complex(s)
-    check_finite(k, s)
+def w1(k: float, s) -> EvalResult:
+    """W_1(k;s) by the three-case closed form (|k| vs 2).  s may also be a
+    1-d array of lanes, as in w2; W_1's domain is all s, so no lane is
+    checked against Re s > -1."""
+    k, s, xp = _lanes(k, s)
     if k > 2.0:
         return w_light(1, k, s)
     if k == 2.0:
-        if s.real <= -0.5:
+        if _re_min(s) <= -0.5:
             raise DomainError("W_1 at |k| = 2 requires Re(s) > -1/2")
         val, rel = gamma_ratio(
             s * math.log(2.0), (1.0, 0.5 + s), (-1.0, 1.0 + s / 2), (-1.0, (1.0 + s) / 2)
         )
         return EvalResult(val, rel * abs(val), Method.CLOSED_FORM)
-    # |k| < 2: prefactor 4^s Gamma((1+s)/2)^2 / (pi Gamma(1+s)) in log space.
-    m = pole_order(s, _POLE_TOL)  # s next to -m; s = 0 is regular
+    if xp is cmath:
+        pref, rel = _w1_prefactor(s)
+    else:
+        # Lanes next to a negative integer (pole_order's square) take the
+        # scalar prefactor; the lane call sees 0 in their place.
+        near = (np.abs(s.imag) <= _POLE_TOL) & (np.abs(s.real - np.rint(s.real)) <= _POLE_TOL) & (s.real < -0.5)
+        pref, rel = _w1_prefactor(np.where(near, 0.0, s))
+        for i in np.flatnonzero(near):
+            pref[i], rel[i] = _w1_prefactor(complex(s[i]))
+    f = pfq(SeriesSpec((-s / 2, -s / 2), (0.5,), k * k / 4.0, edge_log(1, k)))
+    val = pref * f.value
+    return EvalResult(val, abs(pref) * f.abs_err + rel * abs(val), Method.CLOSED_FORM)
+
+
+def _w1_prefactor(s) -> tuple:
+    """The |k| < 2 prefactor 4^s Gamma((1+s)/2)^2 / (pi Gamma(1+s)) in log
+    space and its relative error, at a scalar s or at lanes kept off the
+    negative integers."""
+    m = None if type(s) is np.ndarray else pole_order(s, _POLE_TOL)  # s next to -m; s = 0 is regular
     if m:
         if m % 2 != 0:
             # Double pole of Gamma((1+s)/2)^2 against a single pole of
@@ -135,34 +168,26 @@ def w1(k: float, s: complex) -> EvalResult:
         pref, rel = gamma_ratio(
             s * math.log(4.0) - 2.0 * math.log(math.pi), (2.0, (1.0 + s) / 2), (1.0, -s)
         )
-        pref *= -cmath.sin(math.pi * (s + m))
-        rel += ROUNDING
-    else:
-        pref, rel = gamma_ratio(
-            s * math.log(4.0) - math.log(math.pi), (2.0, (1.0 + s) / 2), (-1.0, 1.0 + s)
-        )
-    f = pfq(SeriesSpec((-s / 2, -s / 2), (0.5,), k * k / 4.0, edge_log(1, k)))
-    val = pref * f.value
-    return EvalResult(val, abs(pref) * f.abs_err + rel * abs(val), Method.CLOSED_FORM)
+        return pref * -cmath.sin(math.pi * (s + m)), rel + ROUNDING
+    return gamma_ratio(s * math.log(4.0) - math.log(math.pi), (2.0, (1.0 + s) / 2), (-1.0, 1.0 + s))
 
 
-def w_light(r: int, k: float, s: complex) -> EvalResult:
+def w_light(r: int, k: float, s) -> EvalResult:
     """W_r(k;s) for |k| >= 2^r via the hypergeometric series (unit-argument
-    acceleration exactly on the boundary)."""
-    k = abs(float(k))
-    s = complex(s)
-    check_finite(k, s)
+    acceleration exactly on the boundary).  s may also be a 1-d array of
+    lanes, as in w2."""
+    k, s, xp = _lanes(k, s)
     edge = 2.0**r
     if k < edge:
         raise DomainError("w_light requires |k| >= 2^r")
     if k == edge:
-        if s.real <= -r / 2.0:
+        if _re_min(s) <= -r / 2.0:
             raise DomainError("boundary |k| = 2^r requires Re(s) > -r/2")
         f = pfq(family_spec(r, s, 1.0))
     else:
         f = pfq(family_spec(r, s, 4.0**r / (k * k), -edge_log(r, k)))
     log_scale = s * math.log(k)
-    scale = cmath.exp(log_scale)
+    scale = xp.exp(log_scale)
     err = abs(scale) * (f.abs_err + ROUNDING * (1.0 + abs(log_scale)) * abs(f.value))
     return EvalResult(scale * f.value, err, Method.CLOSED_FORM)
 

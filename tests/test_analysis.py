@@ -3,8 +3,10 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+import zmf.analysis as analysis_module
 from zmf.analysis import (
     _phase,
     check_beauty,
@@ -77,6 +79,39 @@ class TestCriticalLine:
         left = count_zeros_box(1.0, (-2.0, -0.505, 1e-3, 20.0))
         right = count_zeros_box(1.0, (-0.495, 1.0, 1e-3, 20.0))
         assert (left.winding, strip.winding, right.winding) == (0, 3, 0)
+
+    def test_zeros_match_bisection(self):
+        # Frozen from the plain bisection to 1e-12 that the Illinois method
+        # replaced; on the line, xi is noisy past t ~ 12, where the two
+        # methods land up to 1e-9 apart inside that noise.
+        ts = [z.t for z in find_zeros_w1(3.1, 10.0)]
+        assert ts == pytest.approx([3.1484403514812582, 7.202884558037914], abs=1e-12)
+        ts = [z.t for z in find_zeros_w1(1.0, 12.0)]
+        assert ts == pytest.approx([2.9013854429396453, 8.592123955548448], abs=1e-12)
+
+    def test_illinois_needs_few_calls_per_zero(self, monkeypatch):
+        # Bisection from the 0.02 grid step to 1e-12 took 35 calls a zero.
+        calls = []
+        monkeypatch.setattr(analysis_module, "w1", lambda k, s: calls.append(s) or w1(k, s))
+        zeros = find_zeros_w1(3.1, 10.0)
+        grid = 501
+        assert len(calls) - grid - len(zeros) <= 8 * len(zeros)
+
+    @pytest.mark.parametrize(
+        "k, im_hi, winding",
+        [(4.3, 5.0, 1), (4.3, 15.0, 2), (4.65, 5.0, 0), (4.65, 15.0, 2), (5.0, 5.0, 0), (5.0, 15.0, 2)],
+    )
+    def test_box_windings_on_the_benchmark_range(self, k, im_hi, winding):
+        # Frozen from the scalar edge walk, one w1 call per node.
+        assert count_zeros_box(k, (-0.9, -0.1, 1e-3, im_hi)).winding == winding
+
+    def test_box_edges_are_one_lane_call(self, monkeypatch):
+        shapes = []
+        monkeypatch.setattr(analysis_module, "w1", lambda k, s: shapes.append(np.shape(s)) or w1(k, s))
+        assert count_zeros_box(1.0, (-0.505, -0.495, 1e-3, 20.0)).winding == 3
+        assert shapes[0] == (4 * 64 + 1,)
+        # each refinement of a step over pi/2 is one more lane call
+        assert len(shapes) > 1 and all(shape == (17,) for shape in shapes[1:])
 
     @pytest.mark.parametrize("box", [(-2.5, -1.5, 0.0, 0.5), (-2.0, -1.5, 0.0, 0.5)])
     def test_zero_on_the_contour_raises(self, box):

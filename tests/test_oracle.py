@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zmf.errors import DomainError
+from zmf.errors import ConvergenceError, DomainError
 from zmf.oracle import _t1, _t_rows, density_quadrature, monte_carlo, torus_quadrature
 from zmf.types import QuadratureConfig, ZmfPoint
 from zmf.zmf import w, w1
@@ -130,6 +130,14 @@ class TestTorus:
         for oracle in (torus_quadrature, monte_carlo):
             with pytest.raises(DomainError):
                 oracle(ZmfPoint(r, 2.0**r, s), QuadratureConfig(samples=1000))
+
+    @pytest.mark.parametrize("s", [-1.45, -1.395])
+    def test_overflowing_nest_raises_a_typed_error(self, s):
+        # At r = 3, k = 8 the inner |...|^s overflows to inf at nodes next to
+        # the edge; the ladder ran every level (146 s) and EvalResult then
+        # raised a plain ValueError on the nan abs_err.
+        with pytest.raises(ConvergenceError, match="not finite"):
+            torus_quadrature(ZmfPoint(3, 8.0, s), QuadratureConfig(tol=1e-6))
 
 
 class TestMonteCarlo:

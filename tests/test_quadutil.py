@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zmf.errors import ConvergenceError
 from zmf.quadutil import _ts_run, split_points, ts_rows
 
 
@@ -59,6 +60,26 @@ def test_nonconvergent_run_is_flagged():
     val, err, ok = _ts_run(rough, 0.0, 1.0, 1e-14)
     assert not ok
     assert np.isfinite(val) and err > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_sum_raises_at_once(bad):
+    # A level sum that is not finite stays so at every later level; the
+    # ladder raises instead of running every level to a nan error.
+    levels = []
+
+    def f(rows, x, rest):
+        levels.append(x.shape)
+        return np.where(x > 0.5, bad, 1.0)
+
+    with pytest.raises(ConvergenceError, match="level-0 sum is not finite"):
+        ts_rows(f, [0.0, 0.0], [1.0, 0.4], 1e-10)
+    assert len(levels) == 1
+
+
+def test_non_finite_inner_error_raises():
+    with pytest.raises(ConvergenceError, match="not finite"):
+        ts_rows(lambda rows, x, rest: (x, np.full(x.shape, np.inf)), 0.0, 1.0, 1e-10)
 
 
 def test_split_points():

@@ -544,7 +544,8 @@ class TestNearBoundary:
 
 class TestLanes:
     """w2 and w3 over an array of s: one body sums each pFq once over all
-    lanes, and a lane equals its one-lane call bit for bit."""
+    lanes, and a lane equals its one-lane call bit for bit.  w1 and w_light
+    take lanes too, each within the two error bars of its scalar call."""
 
     @pytest.mark.parametrize(
         "fn, k",
@@ -560,6 +561,38 @@ class TestLanes:
             assert (one.value[0], one.abs_err[0]) == (res.value[i], res.abs_err[i])
             scalar = fn(k, complex(x))
             assert abs(scalar.value - res.value[i]) <= scalar.abs_err + res.abs_err[i]
+
+    @pytest.mark.parametrize(
+        "fn, k",
+        [
+            (w1, 0.7), (w1, 1.9), (w1, 2.0), (w1, 2.5), (w1, 4.6),
+            (lambda k, s: w_light(2, k, s), 4.0), (lambda k, s: w_light(2, k, s), 5.5),
+        ],
+    )
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_w1_lanes_match_scalar_calls(self, fn, k, cplx):
+        # W_1's domain is all s, so lanes reach left of Re s = -1 (at k = 2
+        # and on the boundary of W_2 the closed forms need Re s > -1/2, -1).
+        lo = -0.45 if k in (2.0, 4.0) else -2.9
+        re = np.linspace(lo, 3.7, 9)
+        s = re + 1j * np.linspace(-12.0, 12.0, 9) if cplx else re.astype(complex)
+        res = fn(k, s)
+        assert res.value.shape == res.abs_err.shape == (9,)
+        for i, x in enumerate(s):
+            scalar = fn(k, complex(x))
+            assert abs(scalar.value - res.value[i]) <= scalar.abs_err + res.abs_err[i]
+
+    def test_w1_lane_at_an_even_negative_integer_is_zero(self):
+        # Those lanes take the reflection branch, as the scalar call does.
+        res = w1(1.0, np.array([-2.0, -0.5 + 1.0j, -4.0, -2.0 + 1e-13]))
+        assert res.value[0] == res.value[2] == 0.0
+        near = w1(1.0, -2.0 + 1e-13)
+        assert near.value != 0.0 and abs(res.value[3] - near.value) <= near.abs_err + res.abs_err[3]
+
+    @pytest.mark.parametrize("pole", [-1.0, -3.0 + 1e-13j])
+    def test_w1_lane_at_an_odd_negative_integer_raises(self, pole):
+        with pytest.raises(PoleError):
+            w1(1.0, np.array([-0.5, pole, 0.5]))
 
     def test_lane_in_an_odd_window_rejected(self):
         with pytest.raises(DomainError, match="odd"):
