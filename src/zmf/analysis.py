@@ -1,12 +1,13 @@
 """Identity verification and analytic structure of W_1, plus Mahler measures.
 
 Contents: the two functional equations in s, critical-line zero location by
-the sign of a phase-normalized real form on a grid plus the Illinois method,
-off-line zero exclusion by the argument principle (the box's whole contour
-one lane call of w1), the Jacobi-function machinery behind the critical-line
-proof, the closed-form Mahler measures of k + prod(x_i + 1/x_i) for r = 2, 3
-with their integral and derivative cross-routes, and rational reconstruction
-of W_1(1;n).
+the sign of a phase-normalized real form on a grid (lane calls of w1 over
+blocks of at most 256 nodes) plus the Illinois method, off-line zero
+exclusion by the argument principle (the box's whole contour one lane call
+of w1), the Jacobi-function machinery behind the critical-line proof, the
+closed-form Mahler measures of k + prod(x_i + 1/x_i) for r = 2, 3 with their
+integral and derivative cross-routes, and rational reconstruction of
+W_1(1;n).
 """
 
 from __future__ import annotations
@@ -74,25 +75,32 @@ class BoxCount:
     winding: int
 
 
-def _phase(k: float, t: float) -> float:
-    """arg X(t) for |k| != 2, continuous in t and 0 at t = 0, where
-    conj W_1(s) = X(t) W_1(s) on the line s = -1/2 + it by the functional
-    equations: X = (k^2 - 4)^(-it) for |k| > 2 and
+def _phase(k: float, t):
+    """arg X(t) for |k| != 2 at t (a scalar or an array), continuous in t and
+    0 at t = 0, where conj W_1(s) = X(t) W_1(s) on the line s = -1/2 + it by
+    the functional equations: X = (k^2 - 4)^(-it) for |k| > 2 and
     cot(-pi s/2) (4 - k^2)^(-it) for |k| < 2, with
     arg cot(pi/4 - i pi t/2) = 2 atan(tanh(pi t/2))."""
     if abs(k) > 2.0:
         return -t * math.log(k * k - 4.0)
-    return -t * math.log(4.0 - k * k) + 2.0 * math.atan(math.tanh(0.5 * math.pi * t))
+    return -t * math.log(4.0 - k * k) + 2.0 * np.arctan(np.tanh(0.5 * math.pi * t))
 
 
-def _xi(k: float, t: float) -> complex:
-    """Phase-normalized W_1 on the line, real by the functional equation."""
-    return cmath.exp(0.5j * _phase(k, t)) * w1(k, complex(-0.5, t)).value
+def _xi(k: float, t) -> tuple:
+    """Phase-normalized W_1 on the line at t (a scalar or an array of lanes),
+    real by the functional equation, and its error: that of W_1, since the
+    phase factor has modulus 1."""
+    w = w1(k, -0.5 + 1j * t)
+    return np.exp(0.5j * _phase(k, t)) * w.value, w.abs_err
 
 
-# Grid step of the sign search, and the bracket width at which a zero is
-# taken as the bracket's midpoint.
+# Grid step of the sign search, the most lanes of one w1 call on the grid
+# (a call's term arrays grow with its lanes times the terms its largest t
+# needs: 5.5 MB at 501 lanes to t = 10 and k = 2.9, 2.8 MB in blocks of 256,
+# and 117 MB at 1501 lanes to t = 30 and k = 1.9), and the bracket width at
+# which a zero is taken as the bracket's midpoint.
 _DT = 0.02
+_GRID_LANES = 256
 _T_TOL = 1e-12
 
 
@@ -125,27 +133,35 @@ def _illinois(g, a: float, b: float, ga: float, gb: float) -> float:
 
 
 def find_zeros_w1(k: float, t_max: float) -> list:
-    """All zeros of W_1(k; -1/2 + it) for t in [0, t_max], by sign tracking
-    of the real phase-normalized form on a grid, each sign change then
-    narrowed by the Illinois method to |Delta t| < 1e-12."""
+    """All zeros of W_1(k; -1/2 + it) for t in [0, t_max], by the signs of
+    the real phase-normalized form on a grid in t, evaluated as lane calls
+    of w1 over blocks of at most _GRID_LANES nodes, each sign change then
+    narrowed by the Illinois method to |Delta t| < 1e-12.  Raises
+    ConvergenceError where a node's imaginary part exceeds its error (the
+    functional equation missed) or its real part does not (its sign
+    unresolved)."""
     k = abs(float(k))
     if abs(k - 2.0) < 1e-9:
         raise DomainError("|k| = 2 boundary case is excluded from the search")
     if t_max > 50.0:
         raise DomainError("t_max capped at 50")
     ts = np.arange(0.0, t_max + _DT / 2, _DT)
-    xis = [_xi(k, float(t)) for t in ts]
-    scale = max(abs(x) for x in xis)
-    if any(abs(x.imag) > 1e-9 * (1.0 + scale) for x in xis):
+    blocks = [_xi(k, block) for block in np.array_split(ts, -(-len(ts) // _GRID_LANES))]
+    xis, errs = (np.concatenate(part) for part in zip(*blocks))
+    if (np.abs(xis.imag) > errs).any():
         raise ConvergenceError(
             "W_1 misses its functional equation: xi has a residual imaginary part"
         )
+    fs = xis.real
+    unresolved = np.flatnonzero(np.abs(fs) <= errs)
+    if unresolved.size:
+        raise ConvergenceError(
+            f"the sign of xi is unresolved from t = {ts[unresolved[0]]:.4g} on the grid"
+        )
     zeros = []
-    for i in range(len(ts) - 1):
-        fa, fb = xis[i].real, xis[i + 1].real
-        if fa == 0.0 or fa * fb > 0.0:
-            continue
-        t0 = _illinois(lambda t: _xi(k, t).real, float(ts[i]), float(ts[i + 1]), fa, fb)
+    for i in np.flatnonzero(np.signbit(fs[:-1]) != np.signbit(fs[1:])):
+        a, b = float(ts[i]), float(ts[i + 1])
+        t0 = _illinois(lambda t: float(_xi(k, t)[0].real), a, b, float(fs[i]), float(fs[i + 1]))
         res = abs(w1(k, complex(-0.5, t0)).value)
         zeros.append(ZeroRecord(k, t0, res, "illinois-on-real-form"))
     return zeros

@@ -14,8 +14,7 @@ Three evaluation mechanisms live here:
 * analytic continuation past z = 1 for the specific family
   (-s/2, (1-s)/2, 1/2, ..., 1/2; 1, ..., 1) by numerically integrating the
   order-(r+1) hypergeometric ODE along a half-plane detour path, at any
-  complex s; its first call loads scipy.integrate, which nothing else in
-  zmf needs.
+  complex s, by the DOP853 steps of `zmf.ode`.
 
 The first two also sum pfq_shift_derivative, the residue series of a double
 Mellin-Barnes pole, together with the plain sum of the same terms in one
@@ -48,6 +47,7 @@ from scipy.special import comb, factorial, polygamma, psi
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .gamma import log_gamma, pole_order
+from .ode import solve_ivp
 from .types import ROUNDING, EvalResult, Method, lane_params, stack
 
 _MAX_TERMS = 200_000
@@ -640,15 +640,6 @@ def _theta_poly(params) -> np.ndarray:
     return coeffs  # coeffs[m] multiplies theta^m
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported at call time: the module costs a
-    fresh process about 0.25 s and 26 MB (2-core Xeon, BENCH_18.json) and
-    only the continuation uses it.  perfbench's tracer hooks this name."""
-    from scipy.integrate import solve_ivp as _solve_ivp
-
-    return _solve_ivp(*args, **kwargs)
-
-
 def pfq_continued(r: int, s: complex, w: float, branch: ContinuationBranch) -> EvalResult:
     """Analytic continuation of the family pFq ``family_spec(r, s, w)`` to
     real argument w > 1 along a path through the chosen half-plane (w < 1 is
@@ -690,18 +681,10 @@ def pfq_continued(r: int, s: complex, w: float, branch: ContinuationBranch) -> E
         def seg_rhs(t, yv, za=za, seg=seg):
             return seg * rhs(za + t * seg, yv)
 
-        sol = solve_ivp(
-            seg_rhs,
-            (0.0, 1.0),
-            y,
-            method="DOP853",
-            rtol=_ODE_RTOL,
-            atol=_ODE_ATOL,
-            dense_output=False,
-        )
+        sol = solve_ivp(seg_rhs, y, _ODE_RTOL, _ODE_ATOL)
         if not sol.success:
             raise ConvergenceError(f"ODE continuation failed: {sol.message}")
-        y = sol.y[:, -1]
+        y = sol.y
     val = complex(y[0])
     err = max(1e-11 * (1.0 + abs(val)), 1e-14)
     return EvalResult(val, err, Method.CONTOUR)

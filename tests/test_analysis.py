@@ -21,7 +21,7 @@ from zmf.analysis import (
     mahler_w3_routes,
     w1_rational_decomposition,
 )
-from zmf.errors import ContourError, DomainError
+from zmf.errors import ContourError, ConvergenceError, DomainError
 from zmf.zmf import w1
 
 
@@ -47,6 +47,8 @@ class TestCriticalLine:
         ts = [0.05 * i for i in range(401)]
         phis = [_phase(k, t) for t in ts]
         assert phis[0] == 0.0
+        # the grid's array form is the same function, node by node
+        assert _phase(k, np.array(ts)) == pytest.approx(phis, rel=1e-15, abs=1e-15)
         assert max(abs(b - a) for a, b in zip(phis, phis[1:])) < math.pi
         for t, phi in zip(ts, phis):
             s = complex(-0.5, t)
@@ -90,12 +92,52 @@ class TestCriticalLine:
         assert ts == pytest.approx([2.9013854429396453, 8.592123955548448], abs=1e-12)
 
     def test_illinois_needs_few_calls_per_zero(self, monkeypatch):
-        # Bisection from the 0.02 grid step to 1e-12 took 35 calls a zero.
-        calls = []
-        monkeypatch.setattr(analysis_module, "w1", lambda k, s: calls.append(s) or w1(k, s))
+        # The 501-node grid is two lane calls of at most 256 lanes; bisection
+        # from its 0.02 step to 1e-12 took 35 scalar calls a zero, the
+        # Illinois method takes at most 8.
+        shapes = []
+        monkeypatch.setattr(analysis_module, "w1", lambda k, s: shapes.append(np.shape(s)) or w1(k, s))
         zeros = find_zeros_w1(3.1, 10.0)
-        grid = 501
-        assert len(calls) - grid - len(zeros) <= 8 * len(zeros)
+        assert len(zeros) == 2
+        assert shapes[:2] == [(251,), (250,)]
+        assert all(shape == () for shape in shapes[2:])
+        assert len(shapes) - 2 <= 8 * len(zeros)
+
+    # Frozen from the scalar grid that the lane grid replaced, one w1 call per
+    # node; the lane bits differ from the scalar ones, which moves a zero by
+    # at most 2.5e-13 here (3.6e-12 at k = 2.1, where the form is flatter).
+    _SCALAR_GRID_ZEROS = {
+        0.5: [6.17015073107563],
+        1.5: [1.6824106832147374, 4.863419784791539, 8.084264703707074],
+        2.5: [2.2069899368978465, 5.032313046094636, 7.881877436454035],
+        2.9: [2.8524327626017083, 6.521043596061428],
+        3.3: [3.434303874377316, 7.860992770341111],
+        4.0: [4.3873173807252375],
+        6.0: [6.944830833887282],
+    }
+
+    @pytest.mark.parametrize("k", sorted(_SCALAR_GRID_ZEROS))
+    def test_lane_grid_keeps_the_scalar_zeros(self, k):
+        ts = [z.t for z in find_zeros_w1(k, 10.0)]
+        assert ts == pytest.approx(self._SCALAR_GRID_ZEROS[k], abs=1e-12)
+
+    def test_lane_grid_count_is_the_strip_winding(self):
+        zeros = find_zeros_w1(2.5, 10.0)
+        assert count_zeros_box(2.5, (-0.505, -0.495, 1e-3, 10.0)).winding == len(zeros) == 3
+
+    @pytest.mark.parametrize("k", [1.9, 2.1])
+    def test_noisy_imaginary_part_within_its_error(self, k):
+        # Past t ~ 16 the imaginary part of xi exceeds a fixed 1e-9 (1 + max|xi|)
+        # but stays within its own lane's abs_err, the bound each node is held
+        # to.  20-digit mpmath finds 12 zeros here too.
+        zeros = find_zeros_w1(k, 20.0)
+        assert len(zeros) == 12
+        assert count_zeros_box(k, (-0.505, -0.495, 1e-3, 20.0)).winding == 12
+
+    def test_unresolved_sign_raises(self):
+        # From t = 21.44 on, |Re xi| is within its error at k = 1.9.
+        with pytest.raises(ConvergenceError, match="unresolved from t = 21.44"):
+            find_zeros_w1(1.9, 30.0)
 
     @pytest.mark.parametrize(
         "k, im_hi, winding",

@@ -220,6 +220,25 @@ def test_continuation_against_2f1_continuation():
     assert got == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_dop853_takes_scipys_steps(seed):
+    # zmf.ode replaces scipy.integrate.solve_ivp(method="DOP853") on [0, 1]:
+    # the same steps, evaluations and bits on a complex linear system.
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    from zmf.ode import solve_ivp
+
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 5
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    y0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    fun = lambda t, y: (3.0 + seed) * (1.0 + t) * (m @ y)  # noqa: E731
+    want = scipy_solve_ivp(fun, (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-14)
+    got = solve_ivp(fun, y0, 1e-12, 1e-14)
+    assert got.success and got.nfev == want.nfev
+    assert np.array_equal(got.y, want.y[:, -1])
+
+
 def test_hyper_and_zmf_do_not_bind_mpmath():
     # The near-unit tail is plain numpy; mpmath is left to PSLQ and the tests.
     import zmf.hyper
