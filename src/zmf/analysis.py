@@ -137,27 +137,30 @@ def find_zeros_w1(k: float, t_max: float) -> list:
     the real phase-normalized form on a grid in t, evaluated as lane calls
     of w1 over blocks of at most _GRID_LANES nodes, each sign change then
     narrowed by the Illinois method to |Delta t| < 1e-12.  Raises
-    ConvergenceError where a node's imaginary part exceeds its error (the
-    functional equation missed) or its real part does not (its sign
-    unresolved)."""
+    ConvergenceError at the first node, in t order, whose imaginary part
+    exceeds its error (the functional equation missed) or whose real part
+    does not (its sign unresolved), before any later block is evaluated."""
     k = abs(float(k))
     if abs(k - 2.0) < 1e-9:
         raise DomainError("|k| = 2 boundary case is excluded from the search")
     if t_max > 50.0:
         raise DomainError("t_max capped at 50")
     ts = np.arange(0.0, t_max + _DT / 2, _DT)
-    blocks = [_xi(k, block) for block in np.array_split(ts, -(-len(ts) // _GRID_LANES))]
-    xis, errs = (np.concatenate(part) for part in zip(*blocks))
-    if (np.abs(xis.imag) > errs).any():
-        raise ConvergenceError(
-            "W_1 misses its functional equation: xi has a residual imaginary part"
-        )
-    fs = xis.real
-    unresolved = np.flatnonzero(np.abs(fs) <= errs)
-    if unresolved.size:
-        raise ConvergenceError(
-            f"the sign of xi is unresolved from t = {ts[unresolved[0]]:.4g} on the grid"
-        )
+    parts = []
+    for block in np.array_split(ts, -(-len(ts) // _GRID_LANES)):
+        xi, err = _xi(k, block)
+        missed = np.abs(xi.imag) > err
+        bad = np.flatnonzero(missed | (np.abs(xi.real) <= err))
+        if bad.size and missed[bad[0]]:
+            raise ConvergenceError(
+                "W_1 misses its functional equation: xi has a residual imaginary part"
+            )
+        if bad.size:
+            raise ConvergenceError(
+                f"the sign of xi is unresolved from t = {block[bad[0]]:.4g} on the grid"
+            )
+        parts.append(xi.real)
+    fs = np.concatenate(parts)
     zeros = []
     for i in np.flatnonzero(np.signbit(fs[:-1]) != np.signbit(fs[1:])):
         a, b = float(ts[i]), float(ts[i + 1])

@@ -564,7 +564,9 @@ def pfq(spec: SeriesSpec) -> EvalResult:
     for n, term in enumerate(itertools.islice(terms, _MAX_TERMS), 1):
         cur = abs(term)
         if cur == 0.0:
-            return EvalResult(total, 1e-15 * (1.0 + abs(total)), Method.CLOSED_FORM)
+            # Every later term is 0 too (z = 0, or an underflow): what is left
+            # is the rounding of the sum.
+            return EvalResult(total, ROUNDING * abs_sum, Method.CLOSED_FORM)
         abs_sum += cur
         # The ratio tends to |z| < rho; once it is actually below rho the
         # geometric majorant bounds the whole tail.

@@ -2,16 +2,15 @@
 Carlo sampling and 1-d integration against the closed-form densities.
 
 The r-dimensional torus average reduces by Fubini to a nest of 1-d
-integrals: with T_1(k;s) = (1/pi) int_0^pi |k + 2 cos t|^s dt,
+integrals over the closed-form base T_0(x; s) = (|x - 1|^s + |x + 1|^s)/2,
 
     T_r(k;s) = (2/pi) int_0^{pi/2} |2 cos t|^s T_{r-1}(k / (2 cos t); s) dt,
 
-one row-batched recursion at every depth (``_t_rows``).  Each segment
-between singular points is one ladder row, and each node reads its exact
-distance to the nearer end: at T_1 every singular point sits at the origin
-of a piece, and above it and in the density integral the distance to a
-right end comes from the quadrature core (``quadutil``).  Nothing here
-touches the hypergeometric closed forms.
+one row-batched recursion at every depth r >= 1 (``_t_rows``).  Each
+segment between singular points is one ladder row, and each node reads its
+exact distance to the nearer end from the quadrature core (``quadutil``),
+in the nest and in the density integral alike.  Nothing here touches the
+hypergeometric closed forms.
 """
 
 from __future__ import annotations
@@ -39,78 +38,9 @@ def _abs_pow(base: np.ndarray, s: complex) -> np.ndarray:
     return out
 
 
-def _t1_jobs(d0: np.ndarray) -> tuple:
-    """Quadrature pieces of T_1 for each signed distance d0 = |k| - 2.
-
-    Every (near-)singular point is mapped to the origin of a piece's local
-    variable u, where the base |k + 2 cos t| is
-    c + 4 sin(phi + sigma u/2) sin(u/2).  For d0 >= 0 (u = pi - t) that is
-    d0 + 4 sin^2(u/2): (c, phi, sigma) = (d0, 0, +1).  For d0 < 0 the zero
-    t0 = pi - eps, with sin^2(eps/2) = -d0/4 resolved from the exact
-    distance, splits [0, pi] into u = t0 - t on (0, t0) and u = t - t0 on
-    (0, eps), with (c, phi, sigma) = (0, eps, +1) and (0, eps, -1).  A
-    near-double root (d0 < 0.25 or eps < 0.25) behaves like (d0 + u^2)^s and
-    levels off below u ~ sqrt(d0); the first piece is split there so each
-    part has a single scale.
-
-    Returns arrays over pieces (row, a, b, c, phi, sigma).  Pieces come slot
-    by slot (every row's first piece, then the second pieces, then the
-    third), so each row's pieces appear in its summation order.
-    """
-    pos = d0 >= 0.0
-    # math.asin: numpy's vectorized arcsin differs from libm in the last bit.
-    eps = np.array([2.0 * math.asin(0.5 * math.sqrt(-d)) if d < 0.0 else 0.0 for d in d0])
-    end = np.where(pos, math.pi, math.pi - eps)
-    near = np.where(pos, (0.0 < d0) & (d0 < 0.25), eps < 0.25)
-    ustar = np.where(pos, 2.0 * np.sqrt(np.abs(d0)), np.minimum(2.0 * eps, end))
-    c = np.where(pos, d0, 0.0)
-    one = np.ones(len(d0))
-    rows = np.arange(len(d0))
-    zero = np.zeros(len(d0))
-    slots = (
-        (rows, zero, np.where(near, ustar, end), c, eps, one),
-        (rows[near], ustar[near], end[near], c[near], eps[near], one[near]),
-        (rows[~pos], zero[~pos], eps[~pos], c[~pos], eps[~pos], -one[~pos]),
-    )
-    return tuple(np.concatenate(col) for col in zip(*slots))
-
-
-def _t1_rows(delta: np.ndarray, s: complex, tol: np.ndarray):
-    """T_1(k_i; s) = (1/pi) int_0^pi |k_i + 2 cos t|^s dt to tolerance tol_i
-    for every row, given the signed distance delta_i = |k_i| - 2, with all
-    pieces of all rows in one batched level ladder; returns arrays
-    (value, error).
-
-    The distance is taken exactly, not as k: a caller that produced k by
-    division knows |k - 2| below the rounding of k itself.  Every
-    (near-)singular point is mapped to the origin of a local variable u
-    before quadrature (``_t1_jobs``).  Floats are dense near 0 but quantized
-    at ~1e-16 near an interior point or a right endpoint, so integrating
-    |t - t0|^sigma in the t variable silently loses the mass within one ulp
-    of t0 (as much as 1e-3 of the integral for sigma near -1); in the u
-    variable that mass is resolved down to 1e-300.  The base |k + 2 cos t|
-    is likewise evaluated in cancellation-free product or shifted form.
-    """
-    row, a, b, c, phi, sigma = _t1_jobs(delta)
-
-    def f(rows: np.ndarray, u: np.ndarray, _rest: np.ndarray) -> np.ndarray:
-        sin_phi = np.sin(phi[rows, None] + sigma[rows, None] * (0.5 * u))
-        return _abs_pow(c[rows, None] + 4.0 * sin_phi * np.sin(0.5 * u), s)
-
-    # Each piece gets its row's tolerance divided by the row's piece count.
-    val, err, _ = ts_rows(f, a, b, tol[row] / np.bincount(row)[row])
-    total = np.zeros(len(delta), dtype=complex)
-    errs = np.zeros(len(delta))
-    # add.at accumulates in index order, so each row sums its pieces in the
-    # order _t1_jobs lists them.
-    np.add.at(total, row, val)
-    np.add.at(errs, row, err)
-    return total / math.pi, errs / math.pi
-
-
 def _t1(k: float, s: complex, tol: float):
-    """T_1(k; s) as the one-row call of ``_t1_rows``; returns (value, error)."""
-    v, e = _t1_rows(np.array([abs(float(k)) - 2.0]), s, np.array([tol]))
+    """T_1(k; s) as the one-row call of ``_t_rows``; returns (value, error)."""
+    v, e = _t_rows(1, np.array([abs(float(k)) - 2.0]), s, np.array([tol]))
     return v[0], e[0]
 
 
@@ -118,32 +48,35 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
     """T_r(k_i; s) to tolerance tol_i for every row, given the signed
     distance delta_i = |k_i| - 2^r; returns arrays (value, error).
 
-    At r >= 2 the folded outer integral has critical angles
-    theta = acos(min(k/2^r, 1)), where k/(2cos t) crosses the inner edge
-    2^(r-1), and pi/2, where the weight vanishes.  The segments [0, theta]
-    and [theta, pi/2] (a segment of length 0 is dropped) are one ladder row
-    each, and every node is taken from its nearer end t0: at distance x
-    from the left end, or at x = -rest from the right one.  At t = t0 + x,
-    with c0 = cos t0 exact (1, min(k/2^r, 1) or 0) and
+    The folded integral has critical angles theta = acos(min(k/2^r, 1)),
+    where k/(2cos t) crosses the inner edge 2^(r-1) (T_0's singular point 1
+    at r = 1), and pi/2, where the weight vanishes.  The segments
+    [0, theta] and [theta, pi/2] (a segment of length 0 is dropped) are one
+    ladder row each, and every node is taken from its nearer end t0: at
+    distance x from the left end, or at x = -rest from the right one.  At
+    t = t0 + x, with c0 = cos t0 exact (1, min(k/2^r, 1) or 0) and
     p = 2 sin(t0 + x/2) sin(x/2), cos t = c0 - p and
-    k - 2^r cos t = (k - 2^r c0) + 2^r p, where k - 2^r c0 is exactly
-    delta, max(delta, 0) or k: both are exact where they vanish.  All
-    segments of all rows are rows of one level ladder, and each level's
-    inner T_(r-1) at all nodes is one recursive call.
+    k - 2^r cos t = (k - 2^r c0) + 2^r p, where k - 2^r c0 is exactly delta,
+    max(delta, 0) or k: both are exact where they vanish.  At r = 1 the
+    integrand |2cos t|^s T_0(k/|2cos t|) is
+    (|k - 2cos t|^s + |k + 2cos t|^s)/2, two powers read from that exact
+    numerator; at r >= 2 each level's inner T_(r-1) at all nodes is one
+    recursive call.  All segments of all rows are rows of one level ladder.
     """
-    if r == 1:
-        return _t1_rows(delta, s, tol)
     edge = 2.0**r
     k = edge + delta
     ctheta = np.minimum(k / edge, 1.0)
-    theta = np.arccos(ctheta)
+    # theta from the exact distance, 2^r sin^2(theta/2) = -delta/2, not as
+    # acos of the rounded k: an inner row next to its edge sets its root by
+    # delta, below the rounding of k.
+    theta = 2.0 * np.arcsin(np.sqrt(np.maximum(-delta, 0.0) / (2.0 * edge)))
     n = len(delta)
     # (t0, c0, k - 2^r c0) at the ends 0, theta and pi/2.
     at_0 = (np.zeros(n), np.ones(n), delta)
     at_theta = (theta, ctheta, np.maximum(delta, 0.0))
     at_pi2 = (np.full(n, 0.5 * math.pi), np.zeros(n), k)
-    # Segments slot by slot, as in _t1_jobs, so np.add.at sums each row's
-    # segments in this order.
+    # Segments slot by slot (every row's first segment, then the second
+    # ones), so np.add.at sums each row's segments in this order.
     row = np.tile(np.arange(n), 2)
     lo_end = np.concatenate([at_0, at_theta], axis=1)
     hi_end = np.concatenate([at_theta, at_pi2], axis=1)
@@ -159,14 +92,18 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
     edge_in = 0.5 * edge
     thr = 1e-7 * kh / edge_in
     alpha = (-s / 2.0) * ((1.0 - s) / 2.0) * 0.5 ** (r - 2)
-    k_pow_s = _abs_pow(kh, s)
+    k_pow_s = _abs_pow(kh, s) if r > 1 else None
 
-    def f(rows: np.ndarray, u: np.ndarray, rest: np.ndarray) -> tuple:
+    def f(rows: np.ndarray, u: np.ndarray, rest: np.ndarray):
         left = u <= rest
         x = np.where(left, u, -rest)
         t0, c0, num0 = np.where(left, lo_end[:, rows, None], hi_end[:, rows, None])
         p = 2.0 * np.sin(t0 + 0.5 * x) * np.sin(0.5 * x)
         absc = 2.0 * (c0 - p)
+        num = num0 + edge * p
+        if r == 1:
+            # k + 2cos t = num + 2|2cos t|; bounded as cos t -> 0.
+            return 0.5 * (_abs_pow(num, s) + _abs_pow(num + 2.0 * absc, s))
         near = absc < thr[rows, None]
         half = np.broadcast_to(rows[:, None], u.shape)
         out = np.empty(u.shape, dtype=complex)
@@ -179,7 +116,7 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
         # Floor the inner distance: a node within rounding of the inner edge
         # (true distance > 0, weight ~1e-300) must not evaluate the genuinely
         # divergent edge integral.
-        d_in = (num0[~near] + edge * p[~near]) / a_in
+        d_in = num[~near] / a_in
         tiny = np.abs(d_in) < 1e-250
         d_in[tiny] = np.where(d_in[tiny] >= 0.0, 1e-250, -1e-250)
         v, e = _t_rows(r - 1, d_in, s, tolh[h_in] / np.maximum(1.0, wgt))

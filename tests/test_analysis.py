@@ -134,10 +134,17 @@ class TestCriticalLine:
         assert len(zeros) == 12
         assert count_zeros_box(k, (-0.505, -0.495, 1e-3, 20.0)).winding == 12
 
-    def test_unresolved_sign_raises(self):
-        # From t = 21.44 on, |Re xi| is within its error at k = 1.9.
-        with pytest.raises(ConvergenceError, match="unresolved from t = 21.44"):
-            find_zeros_w1(1.9, 30.0)
+    def test_unresolved_sign_raises(self, monkeypatch):
+        # From t = 21.44 on, |Re xi| is within its error at k = 1.9.  That
+        # node is in the 5th block of the grid, and no later block is
+        # evaluated (t_max = 50 has 10 blocks).
+        calls = []
+        monkeypatch.setattr(analysis_module, "w1", lambda k, s: calls.append(np.shape(s)) or w1(k, s))
+        for t_max in (30.0, 50.0):
+            calls.clear()
+            with pytest.raises(ConvergenceError, match="unresolved from t = 21.44"):
+                find_zeros_w1(1.9, t_max)
+            assert len(calls) <= 5
 
     @pytest.mark.parametrize(
         "k, im_hi, winding",

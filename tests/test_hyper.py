@@ -20,6 +20,7 @@ from zmf.hyper import (
     pfq_continued,
     pfq_shift_derivative,
 )
+from zmf.types import ROUNDING
 
 
 def mp_ref(upper, lower, z):
@@ -52,6 +53,12 @@ def test_terminating_any_argument():
 
 def test_zero_argument():
     assert pfq(SeriesSpec((0.4, 0.9), (1.3,), 0.0)).value == 1.0
+    # The sum stops at its first zero term (t_1 at z = 0, the underflowed
+    # t_2 at z = 1e-200) and reports the rounding of sum |t_n| = 1.
+    for z in (0.0, 1e-200):
+        res = pfq(SeriesSpec((0.5, -0.3 + 1j), (1.0,), z))
+        assert abs(res.value - 1.0) <= z
+        assert res.abs_err == ROUNDING
 
 
 def test_divergent_raises():

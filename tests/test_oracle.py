@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,9 +62,9 @@ class TestTorus:
     @pytest.mark.parametrize(
         "r, delta, tol",
         [
-            # delta >= 0 with and without the near-double-root split, the
-            # edge floor on both sides, and delta < 0 with eps < 0.25 and
-            # eps >= 0.25.
+            # delta > 0 at two distances from the edge, on the edge, the
+            # r >= 2 inner-distance floor on both sides, and delta < 0 with
+            # the root k = 2 cos theta at theta = 0.1 and pi/3.
             pytest.param(
                 1,
                 [0.5, 0.1, 0.0, 1e-250, -1e-250, -0.01, -1.0],
@@ -86,9 +87,33 @@ class TestTorus:
             v, e = _t1(2.5, s, 1e-10)
             assert v == val[0] and e == err[0]
 
+    @pytest.mark.parametrize("delta", [-1e-12, -1e-15, -1e-17])
+    def test_t1_reads_the_exact_distance(self, delta):
+        # An inner row of the r = 2 nest next to its edge carries a delta
+        # below the rounding of k = 2 + delta.  A root placed at acos of the
+        # rounded k gave 3.642 +- 1.4e-12 for 3.286 at delta = -1e-17.
+        s = -0.45
+        v, e = _t_rows(1, np.array([delta]), s, np.array([1e-10]))
+        with mpmath.workdps(30):
+            th = 2 * mpmath.asin(mpmath.sqrt(-mpmath.mpf(delta) / 4))
+            # |k - 2 cos t|^s + |k + 2 cos t|^s with k = 2 cos th, in product form
+            f = lambda t: (abs(4 * mpmath.sin((t + th) / 2) * mpmath.sin((t - th) / 2)) ** s
+                           + (4 * mpmath.cos((t + th) / 2) * mpmath.cos((t - th) / 2)) ** s)
+            ref = complex(mpmath.quad(f, [0, th, mpmath.pi / 2]) / mpmath.pi)
+        assert abs(v[0] - ref) <= e[0]
+
     @pytest.mark.parametrize(
         "r, k, s, tol",
         [
+            # T_1 next to its edge k = 2, on both sides, where k - 2 cos t
+            # has a near-double root at t = 0 and changes scale at
+            # t ~ sqrt|k - 2|.
+            *[
+                (1, 2.0 + sign * gap, s, 1e-10)
+                for gap in (1e-3, 1e-9, 1e-12)
+                for sign in (1.0, -1.0)
+                for s in (-0.45, -0.9 + 1j, 3.7)
+            ],
             (2, 3.999, -0.45, 1e-10),
             (2, 4.0, 0.3, 1e-10),
             (3, 7.9, -0.3, 1e-6),
