@@ -129,10 +129,10 @@ def _cmd_eval(args) -> int:
         r = int(rec["r"])
         k = float(rec["k"])
         s = complex(rec["s"]["re"], rec["s"]["im"])
-        method = {"quadrature": "quadrature", "monte-carlo": "monte-carlo"}.get(
-            rec.get("method"), None
-        )
-        res = w(r, k, s, method=method)
+        if rec.get("method") in ("quadrature", "monte-carlo"):
+            # The record holds no tolerance, seed or sample count to rerun it by.
+            raise DomainError("--from-json re-evaluates closed-form and contour records only")
+        res = w(r, k, s)
         _emit_record(_eval_record(r, k, s, res), args.output)
         return EXIT_OK
     if args.r is None or args.k is None:
@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "closed-form", "quadrature", "mc"),
                    default="auto")
     p.add_argument("--from-json", default=None,
-                   help="re-evaluate a request from a previous JSON record")
+                   help="re-evaluate a previous closed-form or contour JSON record")
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
     p.set_defaults(func=_cmd_eval)

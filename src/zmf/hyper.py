@@ -28,8 +28,12 @@ the count its own one-lane call reaches, and every product and sum over the
 parameters runs lane by lane, so a lane's value and error are bit-identical
 to that call.  A scalar spec is one lane of that recurrence, with Python
 numbers back.  Only pfq keeps a scalar Python loop: eval-series' series are
-short, and a pass of its seed-1 pool took about twice as long when scalar
-pfq went through _lane_sums (345-539 ms against 190-268 ms, 2-core Xeon).
+mostly short, and with scalar pfq through _lane_sums the median task of its
+seed-1 pool went from 33-44 us to 68-71 us and the fastest pass from 97-104
+ms to 136-144 ms (two in-process runs of five passes each, 2-core Xeon).
+Per call the loop wins on short series (20 us against 36 us at r = 1,
+k = 3, s = 1.5, z = 0.44) and loses on long ones (109 us against 43 us at
+k = 2.1, z = 0.91); the two cross near z = 0.7.
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
 """Independent ground truth for W_r(k;s): direct torus integration, Monte
 Carlo sampling and 1-d integration against the closed-form densities.
 
-The r-dimensional torus average reduces by Fubini to a nest of 1-d
-integrals over the closed-form base T_0(x; s) = (|x - 1|^s + |x + 1|^s)/2,
+The torus nest computes U_r(k, a; s) = a^s T_r(k/a; s), the mean of
+|k + a prod 2cos t_j|^s over the r-torus (W_r at a = 1), by the recursion
 
-    T_r(k;s) = (2/pi) int_0^{pi/2} |2 cos t|^s T_{r-1}(k / (2 cos t); s) dt,
+    U_r(k, a; s) = (2/pi) int_0^{pi/2} U_(r-1)(k, 2a cos t; s) dt
 
-one row-batched recursion at every depth r >= 1 (``_t_rows``).  Each
-segment between singular points is one ladder row, and each node reads its
-exact distance to the nearer end from the quadrature core (``quadutil``),
-in the nest and in the density integral alike.  Nothing here touches the
-hypergeometric closed forms.
+over the closed-form base U_0(k, a; s) = (|k - a|^s + |k + a|^s)/2: one
+row-batched nest (``_t_rows``) whose rows carry the scale a and the exact
+distance k - 2^r a, so no level divides.  Each segment between singular
+points is one ladder row, and each node reads its exact distance to the
+nearer end from the quadrature core (``quadutil``), in the nest and in the
+density integral alike.  Nothing here touches the hypergeometric closed forms.
 """
 
 from __future__ import annotations
@@ -40,38 +41,38 @@ def _abs_pow(base: np.ndarray, s: complex) -> np.ndarray:
 
 def _t1(k: float, s: complex, tol: float):
     """T_1(k; s) as the one-row call of ``_t_rows``; returns (value, error)."""
-    v, e = _t_rows(1, np.array([abs(float(k)) - 2.0]), s, np.array([tol]))
+    v, e = _t_rows(1, np.array([abs(float(k)) - 2.0]), np.ones(1), s, np.array([tol]))
     return v[0], e[0]
 
 
-def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
-    """T_r(k_i; s) to tolerance tol_i for every row, given the signed
-    distance delta_i = |k_i| - 2^r; returns arrays (value, error).
+def _t_rows(r: int, delta: np.ndarray, scale: np.ndarray, s: complex, tol: np.ndarray):
+    """U_r(k_i, a_i; s) = a_i^s T_r(k_i/a_i; s) to tolerance tol_i for every
+    row of scale a_i >= 0 and exact distance delta_i = k_i - 2^r a_i;
+    returns arrays (value, error).
 
-    The folded integral has critical angles theta = acos(min(k/2^r, 1)),
-    where k/(2cos t) crosses the inner edge 2^(r-1) (T_0's singular point 1
-    at r = 1), and pi/2, where the weight vanishes.  The segments
-    [0, theta] and [theta, pi/2] (a segment of length 0 is dropped) are one
-    ladder row each, and every node is taken from its nearer end t0: at
-    distance x from the left end, or at x = -rest from the right one.  At
-    t = t0 + x, with c0 = cos t0 exact (1, min(k/2^r, 1) or 0) and
-    p = 2 sin(t0 + x/2) sin(x/2), cos t = c0 - p and
-    k - 2^r cos t = (k - 2^r c0) + 2^r p, where k - 2^r c0 is exactly delta,
-    max(delta, 0) or k: both are exact where they vanish.  At r = 1 the
-    integrand |2cos t|^s T_0(k/|2cos t|) is
-    (|k - 2cos t|^s + |k + 2cos t|^s)/2, two powers read from that exact
-    numerator; at r >= 2 each level's inner T_(r-1) at all nodes is one
-    recursive call.  All segments of all rows are rows of one level ladder.
+    The folded integral has critical angles theta, where 2^r a cos theta = k
+    (0 for delta >= 0), and pi/2.  The segments [0, theta] and [theta, pi/2]
+    (one of length 0 is dropped) are one ladder row each, and every node is
+    taken from its nearer end t0: at distance x from the left end, or at
+    x = -rest from the right one.  With c0 = cos t0 exact (1, k/(2^r a) or
+    0) and p = 2 sin(t0 + x/2) sin(x/2), cos t = c0 - p, so the inner row is
+    a' = 2a(c0 - p), delta' = (k - 2^r a c0) + 2^r a p, where k - 2^r a c0
+    is exactly delta, max(delta, 0) or k.  At r = 1 the integrand is the
+    base U_0, two powers; at r >= 2 each level's inner rows at all nodes are
+    one recursive call.  All segments of all rows are rows of one ladder.
     """
     edge = 2.0**r
-    k = edge + delta
-    ctheta = np.minimum(k / edge, 1.0)
-    # theta from the exact distance, 2^r sin^2(theta/2) = -delta/2, not as
-    # acos of the rounded k: an inner row next to its edge sets its root by
-    # delta, below the rounding of k.
-    theta = 2.0 * np.arcsin(np.sqrt(np.maximum(-delta, 0.0) / (2.0 * edge)))
+    k = edge * scale + delta
     n = len(delta)
-    # (t0, c0, k - 2^r c0) at the ends 0, theta and pi/2.
+    # theta from the exact distance, 2^r a sin^2(theta/2) = -delta/2, not as
+    # acos of the rounded k: an inner row next to its edge sets its root by
+    # delta, below the rounding of k.  Only rows with delta < 0 have a root,
+    # and there 2^r a > k >= 0; a scale that underflowed to 0 has none.
+    neg = delta < 0.0
+    theta, ctheta = np.zeros(n), np.ones(n)
+    theta[neg] = 2.0 * np.arcsin(np.sqrt(-delta[neg] / (2.0 * edge * scale[neg])))
+    ctheta[neg] = k[neg] / (edge * scale[neg])
+    # (t0, c0, k - 2^r a c0) at the ends 0, theta and pi/2.
     at_0 = (np.zeros(n), np.ones(n), delta)
     at_theta = (theta, ctheta, np.maximum(delta, 0.0))
     at_pi2 = (np.full(n, 0.5 * math.pi), np.zeros(n), k)
@@ -83,46 +84,22 @@ def _t_rows(r: int, delta: np.ndarray, s: complex, tol: np.ndarray):
     length = hi_end[0] - lo_end[0]
     keep = length > 0.0
     row, lo_end, hi_end, length = row[keep], lo_end[:, keep], hi_end[:, keep], length[keep]
-    kh, tolh = k[row], tol[row]
-
-    # |2cos t|^s T_(r-1)(k/|2cos t|) -> |k|^s as cos t -> 0; below this
-    # threshold the first-order large-argument expansion is already accurate
-    # to ~1e-28 relative, and it avoids both overflow in the inner argument
-    # and the inner error floor blowing up under the diverging weight.
-    edge_in = 0.5 * edge
-    thr = 1e-7 * kh / edge_in
-    alpha = (-s / 2.0) * ((1.0 - s) / 2.0) * 0.5 ** (r - 2)
-    k_pow_s = _abs_pow(kh, s) if r > 1 else None
+    ah, tolh = scale[row], tol[row]
 
     def f(rows: np.ndarray, u: np.ndarray, rest: np.ndarray):
         left = u <= rest
         x = np.where(left, u, -rest)
         t0, c0, num0 = np.where(left, lo_end[:, rows, None], hi_end[:, rows, None])
         p = 2.0 * np.sin(t0 + 0.5 * x) * np.sin(0.5 * x)
-        absc = 2.0 * (c0 - p)
-        num = num0 + edge * p
+        a = ah[rows, None]
+        a_in = 2.0 * a * (c0 - p)
+        d_in = num0 + edge * a * p
         if r == 1:
-            # k + 2cos t = num + 2|2cos t|; bounded as cos t -> 0.
-            return 0.5 * (_abs_pow(num, s) + _abs_pow(num + 2.0 * absc, s))
-        near = absc < thr[rows, None]
-        half = np.broadcast_to(rows[:, None], u.shape)
-        out = np.empty(u.shape, dtype=complex)
-        errs = np.zeros(u.shape)
-        hn = half[near]
-        out[near] = k_pow_s[hn] * (1.0 + alpha * edge_in * edge_in * (absc[near] / kh[hn]) ** 2)
-        h_in, a_in = half[~near], absc[~near]
-        pw = _abs_pow(a_in, s)
-        wgt = cabs(pw)
-        # Floor the inner distance: a node within rounding of the inner edge
-        # (true distance > 0, weight ~1e-300) must not evaluate the genuinely
-        # divergent edge integral.
-        d_in = num[~near] / a_in
-        tiny = np.abs(d_in) < 1e-250
-        d_in[tiny] = np.where(d_in[tiny] >= 0.0, 1e-250, -1e-250)
-        v, e = _t_rows(r - 1, d_in, s, tolh[h_in] / np.maximum(1.0, wgt))
-        out[~near] = pw * v
-        errs[~near] = wgt * e
-        return out, errs
+            # U_0(k, a') with k - a' = delta' and k + a' = delta' + 2a'.
+            return 0.5 * (_abs_pow(d_in, s) + _abs_pow(d_in + 2.0 * a_in, s))
+        tol_in = np.broadcast_to(tolh[rows, None], u.shape)
+        v, e = _t_rows(r - 1, d_in.ravel(), a_in.ravel(), s, tol_in.ravel())
+        return v.reshape(u.shape), e.reshape(u.shape)
 
     # The folded integral is doubled, so each segment gets its row's
     # tolerance over twice the row's segment count.
@@ -153,8 +130,8 @@ def torus_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> E
     _check_integrable(r, k, s)
     if r >= 2 and 0.0 < k < 2.0**r and s.real < -0.5:
         # There the inner integral diverges at the regime edge (T_1(k') like
-        # |k' - 2|^(s+1/2) at r = 2), which the nest does not resolve: its
-        # edge floor returned values off by up to 1e84.
+        # |k' - 2|^(s+1/2) at r = 2), which the nest does not resolve: it
+        # returned values off by up to 1e84.
         raise DomainError("torus nest needs Re(s) >= -1/2 for 0 < |k| < 2^r at r >= 2")
     if r == 1:
         val, err = _t1(k, s, cfg.tol)
@@ -163,7 +140,7 @@ def torus_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> E
         v, e = _t1(0.0, s, cfg.tol / r)
         val, err = v**r, r * abs(v) ** (r - 1) * e
     else:
-        v, e = _t_rows(r, np.array([k - 2.0**r]), s, np.array([cfg.tol]))
+        v, e = _t_rows(r, np.array([k - 2.0**r]), np.ones(1), s, np.array([cfg.tol]))
         val, err = v[0], e[0]
     return EvalResult(val, err, Method.QUADRATURE)
 

@@ -65,6 +65,21 @@ class TestEval:
         assert code == 0
         assert out2 == out
 
+    def test_from_json_rejects_an_oracle_record(self, capsys, tmp_path):
+        # The record keeps no seed or sample count: re-run with the default
+        # settings, it read 1.838445101186514 +- 0.00382 for this record's
+        # 1.8350268138997465 +- 0.01704.
+        code, out, _ = run_cli(
+            capsys, "oracle", "--r", "2", "--k", "1", "--s", "1",
+            "--method", "mc", "--samples", "50000", "--seed", "7",
+        )
+        assert code == 0
+        path = tmp_path / "record.json"
+        path.write_text(out)
+        code, out2, err = run_cli(capsys, "eval", "--from-json", str(path))
+        assert code == 2
+        assert out2 == "" and "closed-form" in err
+
     def test_quadrature_method(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--r", "1", "--k", "3", "--s", "2",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -62,9 +63,10 @@ class TestTorus:
     @pytest.mark.parametrize(
         "r, delta, tol",
         [
-            # delta > 0 at two distances from the edge, on the edge, the
-            # r >= 2 inner-distance floor on both sides, and delta < 0 with
-            # the root k = 2 cos theta at theta = 0.1 and pi/3.
+            # delta > 0 at two distances from the edge, on the edge, 1e-250
+            # from it on both sides (a root at theta ~ 1e-125 on the inside),
+            # and delta < 0 with the root k = 2 cos theta at theta = 0.1 and
+            # pi/3.
             pytest.param(
                 1,
                 [0.5, 0.1, 0.0, 1e-250, -1e-250, -0.01, -1.0],
@@ -79,13 +81,38 @@ class TestTorus:
     def test_t_rows_match_one_row_runs(self, r, delta, tol, s):
         # A row of the batch equals the same row run alone.
         delta, tol = np.array(delta), np.array(tol)
-        val, err = _t_rows(r, delta, s, tol)
+        scale = np.ones(len(delta))
+        val, err = _t_rows(r, delta, scale, s, tol)
         for i in range(len(delta)):
-            v, e = _t_rows(r, delta[i:i + 1], s, tol[i:i + 1])
+            v, e = _t_rows(r, delta[i:i + 1], scale[i:i + 1], s, tol[i:i + 1])
             assert val[i] == v[0] and err[i] == e[0]
         if r == 1:
             v, e = _t1(2.5, s, 1e-10)
             assert v == val[0] and e == err[0]
+
+    @pytest.mark.parametrize("s", [0.7, 1.5 + 2.0j])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("k", [1.3, 5.0])
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_rows_are_homogeneous_in_the_scale(self, a, k, r, s):
+        # A row (k - 2^r a, a) is the mean of |k + a prod 2cos t_j|^s,
+        # which is a^s W_r(k/a; s).
+        v, e = _t_rows(r, np.array([k - 2.0**r * a]), np.array([a]), s, np.array([1e-10]))
+        ref = w(r, k / a, s)
+        scale = a**s
+        assert abs(v[0] - scale * ref.value) <= e[0] + abs(scale) * ref.abs_err
+
+    @pytest.mark.parametrize("s", [0.7, -0.45, 1.5 + 2.0j])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_zero_scale_is_the_constant(self, r, s):
+        # At r = 3 an inner scale underflows to 0 two levels below a node
+        # within ~1e-300 of pi/2; its row is |k|^s over the whole segment,
+        # with no root to place and nothing divided by the scale.
+        k = 2.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, e = _t_rows(r, np.array([k]), np.zeros(1), s, np.array([1e-10]))
+        assert abs(v[0] - k**s) <= e[0]
 
     @pytest.mark.parametrize("delta", [-1e-12, -1e-15, -1e-17])
     def test_t1_reads_the_exact_distance(self, delta):
@@ -93,7 +120,7 @@ class TestTorus:
         # below the rounding of k = 2 + delta.  A root placed at acos of the
         # rounded k gave 3.642 +- 1.4e-12 for 3.286 at delta = -1e-17.
         s = -0.45
-        v, e = _t_rows(1, np.array([delta]), s, np.array([1e-10]))
+        v, e = _t_rows(1, np.array([delta]), np.ones(1), s, np.array([1e-10]))
         with mpmath.workdps(30):
             th = 2 * mpmath.asin(mpmath.sqrt(-mpmath.mpf(delta) / 4))
             # |k - 2 cos t|^s + |k + 2 cos t|^s with k = 2 cos th, in product form
