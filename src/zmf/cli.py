@@ -138,9 +138,11 @@ def _cmd_eval(args) -> int:
     if args.r is None or args.k is None:
         raise DomainError("eval requires --r and --k (or --from-json)")
     s = _parse_s(args)
-    method = {"auto": None, "closed-form": None, "quadrature": "quadrature",
-              "mc": "monte-carlo"}[args.method]
-    res = w(args.r, args.k, s, method=method)
+    if args.method == "mc":
+        res = monte_carlo(ZmfPoint(args.r, args.k, s), QuadratureConfig(seed=args.seed))
+    else:
+        method = {"auto": None, "closed-form": None, "quadrature": "quadrature"}[args.method]
+        res = w(args.r, args.k, s, method=method)
     if args.method == "auto":
         _oracle_check(args.r, args.k, s, res, args.seed)
     _emit_record(_eval_record(args.r, args.k, s, res), args.output)

@@ -145,24 +145,49 @@ def torus_quadrature(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> E
     return EvalResult(val, err, Method.QUADRATURE)
 
 
-_MC_CHUNK = 1 << 17
+_MC_CHUNK = 1 << 13
 
 
 def monte_carlo(point: ZmfPoint, cfg: QuadratureConfig = _DEFAULT_CFG) -> EvalResult:
-    """Sample mean of |k + prod 2 cos Theta_i|^s with a Philox counter-based
-    generator; bit-for-bit reproducible for a given seed and sample count."""
+    """Sample mean of |k + prod 2 cos Theta_j|^s over Theta_j = pi u_j, with
+    abs_err three standard errors.
+
+    The u_j are the doubles of a Philox counter-based generator keyed by
+    cfg.seed, read sample-major: sample i takes u_(ri), ..., u_(ri+r-1).  So
+    the samples do not depend on the chunk size, and the result is
+    bit-for-bit reproducible for a given seed and sample count.  Each chunk
+    reuses one buffer of r * _MC_CHUNK doubles in place: fresh temporaries
+    of a few MB per chunk cost more in page faults than the arithmetic.
+    cos Theta is 2/(1 + tan^2(Theta/2)) - 1, within 3.3e-16 of np.cos(Theta)
+    (over 10^6 draws): numpy's float64 tan takes its SIMD loop where cos and
+    sin may not, at 1.7 against 14-21 ns an element on an AVX512 host.
+    """
     s = complex(point.s)
-    _check_integrable(point.r, abs(float(point.k)), s)
+    r = point.r
+    _check_integrable(r, abs(float(point.k)), s)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     n = cfg.samples
+    buf = np.empty(r * min(_MC_CHUNK, n))
     total = 0.0 + 0.0j
     total_sq = 0.0
     done = 0
     while done < n:
         m = min(_MC_CHUNK, n - done)
-        theta = rng.uniform(0.0, math.pi, size=(point.r, m))
-        prod = np.prod(2.0 * np.cos(theta), axis=0)
-        vals = _abs_pow(point.k + prod, s)
+        c = buf[: r * m]
+        rng.random(out=c)
+        c *= 0.5 * math.pi
+        np.tan(c, out=c)
+        np.square(c, out=c)
+        c += 1.0
+        np.divide(2.0, c, out=c)
+        c -= 1.0
+        c = c.reshape(m, r)
+        # Column by column: np.prod(c, axis=1) on (m, r) is 12x slower.
+        prod = 2.0**r * c[:, 0]
+        for j in range(1, r):
+            prod *= c[:, j]
+        prod += point.k
+        vals = _abs_pow(prod, s)
         total += vals.sum()
         total_sq += float(np.sum(np.abs(vals) ** 2))
         done += m

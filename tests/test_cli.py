@@ -67,8 +67,8 @@ class TestEval:
 
     def test_from_json_rejects_an_oracle_record(self, capsys, tmp_path):
         # The record keeps no seed or sample count: re-run with the default
-        # settings, it read 1.838445101186514 +- 0.00382 for this record's
-        # 1.8350268138997465 +- 0.01704.
+        # settings, it read 1.8373371419643825 +- 0.00382 for this record's
+        # 1.8415272102530205 +- 0.0171.
         code, out, _ = run_cli(
             capsys, "oracle", "--r", "2", "--k", "1", "--s", "1",
             "--method", "mc", "--samples", "50000", "--seed", "7",
@@ -79,6 +79,20 @@ class TestEval:
         code, out2, err = run_cli(capsys, "eval", "--from-json", str(path))
         assert code == 2
         assert out2 == "" and "closed-form" in err
+
+    def test_mc_method_reads_the_seed(self, capsys):
+        # Both seeds printed 1.838445101186514 +- 3.821e-03: the default
+        # config's seed 0 ran whatever --seed said.
+        def value(seed):
+            code, out, _ = run_cli(
+                capsys, "eval", "--r", "2", "--k", "1", "--s", "1",
+                "--method", "mc", "--seed", seed,
+            )
+            assert code == 0
+            return out
+
+        assert value("0") != value("7")
+        assert value("7") == value("7")
 
     def test_quadrature_method(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -210,6 +211,35 @@ class TestMonteCarlo:
         # abs_err is 3 standard errors; the exact value 11 must be inside
         res = monte_carlo(ZmfPoint(1, 3.0, 2.0), QuadratureConfig(samples=400_000))
         assert abs(res.value.real - 11.0) < res.abs_err
+
+    @pytest.mark.parametrize("r, k", [(1, 3.0), (2, 1.7), (3, 10.0)])
+    @pytest.mark.parametrize("s", [1.3, 0.8 + 1.5j])
+    def test_matches_a_cosine_estimator_on_the_same_stream(self, r, k, s):
+        # The tan half-angle cosines, in chunks, against np.cos on all samples
+        # at once: sample i takes the doubles ri, ..., ri + r - 1 of the stream.
+        n, seed = 50_000, 3
+        u = np.random.Generator(np.random.Philox(key=seed)).random((n, r))
+        vals = np.abs(k + np.prod(2.0 * np.cos(math.pi * u), axis=1)) ** s
+        res = monte_carlo(ZmfPoint(r, k, s), QuadratureConfig(seed=seed, samples=n))
+        assert res.value == pytest.approx(vals.mean(), rel=1e-13)
+
+    def test_samples_do_not_depend_on_the_chunk(self, monkeypatch):
+        p, cfg = ZmfPoint(3, 2.0, 1.5), QuadratureConfig(seed=42, samples=20_000)
+        ref = monte_carlo(p, cfg)
+        monkeypatch.setattr("zmf.oracle._MC_CHUNK", 1000)
+        res = monte_carlo(p, cfg)
+        assert res.value == pytest.approx(ref.value, rel=1e-13)
+        assert res.abs_err == pytest.approx(ref.abs_err, rel=1e-12)
+
+    def test_memory_does_not_grow_with_the_samples(self):
+        # Fresh (r, 131072) temporaries per chunk peaked at 9.3 MB here.
+        tracemalloc.start()
+        try:
+            monte_carlo(ZmfPoint(3, 10.0, 1.3), QuadratureConfig(samples=1_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDensityRoute:

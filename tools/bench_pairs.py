@@ -13,7 +13,9 @@ the two sides run in --pairs alternating pairs (pair i even: parent first),
 each run `--trace 0` for the `run_seconds` that BENCHMARK.json sets;
 afterwards each side runs once with `--trace 1` for the per-layer counts.  The output holds, per workload, seed and end-to-end
 metric, both sides' runs, medians and inclusive quartiles, and the number of
-pairs the change wins (ties count for neither side), and the no-regression
+pairs the change wins (ties count for neither side); per workload and seed,
+each side's median minor page faults per run (the `ru_minflt` of the
+perfbench child, from `getrusage(RUSAGE_CHILDREN)`); and the no-regression
 test that BENCHMARK.json's `bound` sets: "within" when the change's median is
 worse than the parent's by at most that fraction of the parent's median,
 "worse" when by more, and "unresolved" when the parent's own interquartile
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -80,13 +83,17 @@ def _src_lines(base: str) -> dict:
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its last line of standard output as a dict."""
+    """One perfbench run; its last line of standard output as a dict, with
+    the run's minor page faults added as "minflt"."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, check=True, capture_output=True, text=True,
     ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    rec = json.loads(out.strip().splitlines()[-1])
+    rec["minflt"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+    return rec
 
 
 def _quartiles(xs: list) -> tuple:
@@ -189,6 +196,9 @@ def main(argv=None) -> int:
                 "correct_all": all(r["correct"] for side in runs.values() for r in side),
                 "failed_total": {s: sum(r["failed"] for r in rs) for s, rs in runs.items()},
                 "attempted_total": {s: sum(r["attempted"] for r in rs) for s, rs in runs.items()},
+                "minor_faults_median": {
+                    s: statistics.median(r["minflt"] for r in rs) for s, rs in runs.items()
+                },
                 "metrics": _summary(runs, specs),
             }
             result["traced"][key] = {
